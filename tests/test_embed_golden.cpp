@@ -1,47 +1,20 @@
-// Golden-coordinate audit of the SoA embedding kernel: the rewritten
-// structure-of-arrays force loop must reproduce the coordinates of the
-// original AoS kernel to 1e-12 on three graphs of different character
-// (regular grid, Delaunay mesh, Erdos-Renyi expander). The expectations
-// in golden_embed_coords.hpp were captured from the pre-SoA kernel
-// (hierarchy coarsest_size=64, rounds_per_level=2, seed=3; embed
-// defaults with seed=17; P=4, fiber backend) — any drift here means the
-// optimization changed the math, not just the layout.
+// Golden-coordinate audit of the lattice embedding: lattice_embed must
+// reproduce the coordinates in golden_embed_coords.hpp to 1e-12 on three
+// graphs of different character (golden_embed_cases.hpp). A change that
+// only reorganises the kernel or its data layout must pass unchanged; any
+// drift here means the math changed. A change that alters the arithmetic
+// on purpose regenerates the header with tools/dump_golden_coords in the
+// same change.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <vector>
 
-#include "coarsen/hierarchy.hpp"
-#include "comm/engine.hpp"
-#include "embed/lattice_parallel.hpp"
+#include "golden_embed_cases.hpp"
 #include "golden_embed_coords.hpp"
-#include "graph/generators.hpp"
 
-namespace sp::embed {
+namespace sp::golden {
 namespace {
-
-std::vector<geom::Vec2> embed_p4(const graph::CsrGraph& g) {
-  coarsen::HierarchyOptions hopt;
-  hopt.coarsest_size = 64;
-  hopt.rounds_per_level = 2;
-  hopt.seed = 3;
-  auto hierarchy = coarsen::Hierarchy::build(g, hopt);
-  EmbedWorkspace workspace(hierarchy);
-  LatticeEmbedOptions eopt;
-  eopt.seed = 17;
-  std::vector<geom::Vec2> coords;
-  comm::BspEngine::Options bopt;
-  bopt.nranks = 4;
-  comm::BspEngine engine(bopt);
-  engine.run([&](comm::Comm& world) {
-    world.set_stage("embed");
-    auto emb = lattice_embed(world, workspace, eopt);
-    auto gathered = gather_embedding(world, emb, g.num_vertices());
-    if (world.rank() == 0) coords = std::move(gathered);
-    world.barrier();
-  });
-  return coords;
-}
 
 template <std::size_t N>
 void expect_matches_golden(const std::vector<geom::Vec2>& got,
@@ -54,19 +27,16 @@ void expect_matches_golden(const std::vector<geom::Vec2>& got,
 }
 
 TEST(EmbedGolden, Grid12x9MatchesAosKernel) {
-  expect_matches_golden(embed_p4(graph::gen::grid2d(12, 9).graph),
-                        golden::kGrid12x9);
+  expect_matches_golden(embed_p4(grid12x9()), kGrid12x9);
 }
 
 TEST(EmbedGolden, Delaunay300MatchesAosKernel) {
-  expect_matches_golden(embed_p4(graph::gen::delaunay(300, 7).graph),
-                        golden::kDelaunay300);
+  expect_matches_golden(embed_p4(delaunay300()), kDelaunay300);
 }
 
 TEST(EmbedGolden, ErdosRenyi150MatchesAosKernel) {
-  expect_matches_golden(embed_p4(graph::gen::erdos_renyi(150, 450, 11).graph),
-                        golden::kErdosRenyi150);
+  expect_matches_golden(embed_p4(erdos_renyi150()), kErdosRenyi150);
 }
 
 }  // namespace
-}  // namespace sp::embed
+}  // namespace sp::golden

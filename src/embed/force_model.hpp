@@ -34,17 +34,15 @@ struct ForceModel {
     return delta * (d / K);  // unit(delta) * d^2 / K
   }
 
-  /// Repulsive force on a vertex at `p` from aggregate `mass` at `q`
-  /// (away from q, magnitude C K^2 mass / d).
-  geom::Vec2 repulsive(const geom::Vec2& p, const geom::Vec2& q,
-                       double mass) const {
-    geom::Vec2 delta = p - q;
-    double d2 = delta.norm2();
+  /// Repulsive force on a vertex from an aggregate `mass` at displacement
+  /// `delta` = vertex - aggregate: along +delta, magnitude C K^2 mass / d.
+  /// Written as delta * C K^2 mass / d^2, it needs no square root.
+  geom::Vec2 repulsive(const geom::Vec2& delta, double mass) const {
     // Softening: coincident points would otherwise produce infinite force;
-    // K/100 is well below any natural separation.
-    double floor = 1e-4 * K;
-    double d = std::max(std::sqrt(d2), floor);
-    return delta * (C * K * K * mass / (d * d * d) * d);  // unit * CK^2 m / d
+    // d is floored at 1e-4 K, well below any natural separation.
+    const double soft = 1e-4 * K;
+    const double d2 = std::max(delta.norm2(), soft * soft);
+    return delta * (C * K * K * mass / d2);
   }
 };
 

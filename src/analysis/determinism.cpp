@@ -86,24 +86,16 @@ std::string BackendPoint::label() const {
 }
 
 std::vector<BackendPoint> default_backend_points() {
-  std::vector<BackendPoint> points = {
+  return {
       {exec::Backend::kFiber, comm::Schedule::kRoundRobin, 0, 0},
       {exec::Backend::kFiber, comm::Schedule::kReversed, 0, 0},
+      {exec::Backend::kThreads, comm::Schedule::kRoundRobin, 0, 2},
+      {exec::Backend::kThreads, comm::Schedule::kRoundRobin, 0, 8},
+      // Forked-rank point: proves the wire protocol (packed frames, RPC
+      // replay, host-memory seam) reproduces the in-process results bit
+      // for bit, not just approximately.
+      {exec::Backend::kProcess, comm::Schedule::kRoundRobin, 0, 0},
   };
-  if (exec::threads_backend_available()) {
-    points.push_back({exec::Backend::kThreads, comm::Schedule::kRoundRobin,
-                      0, 2});
-    points.push_back({exec::Backend::kThreads, comm::Schedule::kRoundRobin,
-                      0, 8});
-  }
-  if (exec::process_backend_available()) {
-    // Forked-rank point: proves the wire protocol (packed frames, RPC
-    // replay, host-memory seam) reproduces the in-process results bit
-    // for bit, not just approximately.
-    points.push_back({exec::Backend::kProcess, comm::Schedule::kRoundRobin,
-                      0, 0});
-  }
-  return points;
 }
 
 DeterminismReport audit_backends(comm::BspEngine::Options base,

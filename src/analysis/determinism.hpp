@@ -79,8 +79,8 @@ struct BackendPoint {
   std::string label() const;
 };
 
-/// The default cross-backend audit set: two fiber schedules plus — when
-/// the build has the threads backend — thread counts 2 and 8. Real-thread
+/// The default cross-backend audit set: two fiber schedules, the threads
+/// backend at thread counts 2 and 8, and the process backend. Real-thread
 /// points exercise interleavings no fiber schedule can produce, so this
 /// audit subsumes the schedule sweep as a shared-state race detector.
 std::vector<BackendPoint> default_backend_points();

@@ -70,9 +70,10 @@ void RaceAuditor::on_run_begin(std::uint32_t nranks) {
   sync_joins_ = 0;
 }
 
-void RaceAuditor::on_rendezvous_arrive(std::uint32_t world_rank,
-                                       std::uint64_t group,
-                                       std::uint64_t seq) {
+void RaceAuditor::on_arrive(std::uint32_t world_rank, std::uint64_t group,
+                            std::uint64_t seq, double /*clock*/,
+                            const char* /*op*/,
+                            const std::string* /*stage*/) {
   std::lock_guard<std::mutex> lock(mu_);
   if (world_rank >= nranks_) return;
   Join& j = joins_[{group, seq}];
@@ -81,9 +82,8 @@ void RaceAuditor::on_rendezvous_arrive(std::uint32_t world_rank,
   ++j.arrivals;
 }
 
-void RaceAuditor::on_rendezvous_pickup(std::uint32_t world_rank,
-                                       std::uint64_t group,
-                                       std::uint64_t seq) {
+void RaceAuditor::on_pickup(std::uint32_t world_rank, std::uint64_t group,
+                            std::uint64_t seq) {
   std::lock_guard<std::mutex> lock(mu_);
   if (world_rank >= nranks_) return;
   auto it = joins_.find({group, seq});
@@ -103,7 +103,8 @@ void RaceAuditor::on_rendezvous_pickup(std::uint32_t world_rank,
   ++sync_joins_;
 }
 
-void RaceAuditor::on_rank_killed(std::uint32_t world_rank) {
+void RaceAuditor::on_rank_killed(std::uint32_t world_rank, double /*clock*/,
+                                 const std::string* /*stage*/) {
   std::lock_guard<std::mutex> lock(mu_);
   if (world_rank >= nranks_) return;
   max_join(fail_join_, vc_[world_rank]);

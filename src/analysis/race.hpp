@@ -6,17 +6,22 @@
 // shared-memory accesses between synchronization points are race-free
 // under every legal schedule, not just the observed one.
 //
-// How: RaceAuditor implements comm::RaceSink (race_hook.hpp). The engine
-// feeds it every rendezvous arrival/pickup and every rank kill; the
-// SharedSpan / shared_store / note_shared_write annotations
-// (analysis/shared.hpp) feed it every access to rank-shared memory. The
-// auditor maintains one vector clock per rank — every rendezvous is a
-// full synchronization of its group in this engine (no member picks up
-// before all arrive), so arrivals join into a per-(group, seq) clock
-// that every pickup acquires — and FastTrack-style shadow cells per
-// shared byte. Two conflicting accesses (same byte, at least one write,
-// different ranks) that no happens-before path orders are reported with
-// both stages and both call sites, mirroring SpmdDivergenceError.
+// How: RaceAuditor subscribes to the engine's event stream
+// (comm/events.hpp). The engine feeds it every rendezvous arrival/pickup
+// and every rank kill; the SharedSpan / shared_store / note_shared_write
+// annotations (analysis/shared.hpp) feed it every access to rank-shared
+// memory. The auditor keeps one vector clock per rank and FastTrack-style
+// shadow cells per shared byte. Every rendezvous is a full
+// synchronization of its group in this engine (no member picks up before
+// all arrive), so arrivals join into a per-(group, seq) clock that every
+// pickup acquires; comm splits are built on an allgather and need no event
+// of their own. Rank spawn is on_run_begin (all ranks fork from the host
+// with fresh clocks); a kill folds the victim's clock into a fail-join
+// that every later pickup acquires, because the engine lock orders the
+// kill before every rendezvous completed after it. Two conflicting
+// accesses (same byte, at least one write, different ranks) that no
+// happens-before path orders are reported with both stages and both call
+// sites, mirroring SpmdDivergenceError.
 //
 // Why one deterministic fiber run suffices: the happens-before relation
 // is built from the program's rendezvous structure, which a correct SPMD
@@ -40,7 +45,6 @@
 
 #include "analysis/signature.hpp"
 #include "comm/engine.hpp"
-#include "comm/race_hook.hpp"
 
 namespace sp::analysis {
 
@@ -82,12 +86,12 @@ struct RaceReport {
   std::string str() const;
 };
 
-/// The vector-clock sink. Install around an engine run (ScopedRaceAudit
-/// below, or audit_races for the common case); thread-safe, so it works
-/// identically under the threads backend. State resets at on_run_begin,
-/// so one auditor can observe several runs in sequence — report() covers
-/// everything since the last reset.
-class RaceAuditor final : public comm::RaceSink {
+/// The vector-clock subscriber. Install around an engine run
+/// (ScopedRaceAudit below, or audit_races for the common case);
+/// thread-safe, so it works identically under the threads backend. State
+/// resets at on_run_begin, so one auditor can observe several runs in
+/// sequence — report() covers everything since the last reset.
+class RaceAuditor final : public comm::EventSink {
  public:
   RaceAuditor() = default;
   ~RaceAuditor() override = default;
@@ -95,11 +99,13 @@ class RaceAuditor final : public comm::RaceSink {
   RaceAuditor& operator=(const RaceAuditor&) = delete;
 
   void on_run_begin(std::uint32_t nranks) override;
-  void on_rendezvous_arrive(std::uint32_t world_rank, std::uint64_t group,
-                            std::uint64_t seq) override;
-  void on_rendezvous_pickup(std::uint32_t world_rank, std::uint64_t group,
-                            std::uint64_t seq) override;
-  void on_rank_killed(std::uint32_t world_rank) override;
+  void on_arrive(std::uint32_t world_rank, std::uint64_t group,
+                 std::uint64_t seq, double clock, const char* op,
+                 const std::string* stage) override;
+  void on_pickup(std::uint32_t world_rank, std::uint64_t group,
+                 std::uint64_t seq) override;
+  void on_rank_killed(std::uint32_t world_rank, double clock,
+                      const std::string* stage) override;
   void on_access(const comm::RaceAccess& access) override;
 
   RaceReport report() const;
@@ -144,23 +150,30 @@ class RaceAuditor final : public comm::RaceSink {
   std::uint64_t sync_joins_ = 0;
 };
 
-/// RAII installer: routes engine events to `auditor` for the enclosing
-/// scope, restoring the previous sink (usually none) on exit.
+/// RAII installer: with SP_ANALYSIS on, subscribes `auditor` to the
+/// engine's event stream for the enclosing scope.
 class ScopedRaceAudit {
  public:
-  explicit ScopedRaceAudit(RaceAuditor& auditor)
-      : prev_(comm::set_race_sink(&auditor)) {}
-  ~ScopedRaceAudit() { comm::set_race_sink(prev_); }
+  explicit ScopedRaceAudit(RaceAuditor& auditor) : auditor_(&auditor) {
+#ifdef SP_ANALYSIS
+    comm::subscribe(auditor_);
+#endif
+  }
+  ~ScopedRaceAudit() {
+#ifdef SP_ANALYSIS
+    comm::unsubscribe(auditor_);
+#endif
+  }
   ScopedRaceAudit(const ScopedRaceAudit&) = delete;
   ScopedRaceAudit& operator=(const ScopedRaceAudit&) = delete;
 
  private:
-  comm::RaceSink* prev_;
+  RaceAuditor* auditor_;
 };
 
 /// Convenience: runs `program` on an engine built from `options` with a
 /// fresh auditor installed and returns its report. Exceptions from the
-/// run propagate after the sink is uninstalled.
+/// run propagate after the auditor is unsubscribed.
 RaceReport audit_races(comm::BspEngine::Options options,
                        const std::function<void(comm::Comm&)>& program);
 

@@ -20,10 +20,10 @@
 //   analysis::note_shared_write(sub, ckpt, "embed/checkpoint");  // whole object
 //
 // Each annotation reports (rank, address range, read/write, label, stage,
-// call site) to the RaceSink installed via comm/race_hook.hpp — one
-// pointer null-check when no auditor is installed. With SP_ANALYSIS=OFF
-// the auditor half compiles out entirely (no sink lookup, no
-// source_location capture survives inlining).
+// call site) to the subscribers of the engine's event stream
+// (comm/events.hpp) — one emptiness check when nobody subscribed. With
+// SP_ANALYSIS=OFF the auditor half compiles out entirely (no subscriber
+// lookup, no source_location capture survives inlining).
 //
 // On the process backend the same wrappers route the access itself
 // through Comm's host-memory seam: a child rank's store/load reaches the
@@ -40,9 +40,9 @@
 // immutable for the whole run (the input graph, the hierarchy topology)
 // are also out of scope by convention.
 //
-// Header-only and engine-hook-only: including this from sp_core/sp_embed
-// does not create a link dependency on sp_analysis (the sink symbol lives
-// in sp_comm, which they already link).
+// Header-only: including this from sp_core/sp_embed does not create a
+// link dependency on sp_analysis (the subscriber list lives in sp_comm,
+// which they already link).
 #pragma once
 
 #include <cstddef>
@@ -54,7 +54,7 @@
 #include <vector>
 
 #include "comm/engine.hpp"
-#include "comm/race_hook.hpp"
+#include "comm/events.hpp"
 
 namespace sp::analysis {
 
@@ -64,8 +64,8 @@ namespace detail {
 inline void record_access(const comm::Comm& comm, const void* addr,
                           std::size_t size, bool is_write, const char* label,
                           const std::source_location& loc) {
-  comm::RaceSink* sink = comm::race_sink();
-  if (sink == nullptr) return;
+  const std::vector<comm::EventSink*>& sinks = comm::subscribers();
+  if (sinks.empty()) return;
   comm::RaceAccess a;
   a.world_rank = comm.world_rank();
   // Identity only, never ordering: the auditor keys shadow cells by
@@ -76,7 +76,7 @@ inline void record_access(const comm::Comm& comm, const void* addr,
   a.label = label;
   a.stage = &comm.stage();
   a.site = CallSite::from(loc);
-  sink->on_access(a);
+  for (comm::EventSink* s : sinks) s->on_access(a);
 }
 #endif
 

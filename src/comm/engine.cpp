@@ -1,30 +1,23 @@
 #include "comm/engine.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <map>
 #include <set>
 #include <string>
-#include <string_view>
 #include <tuple>
 
 #include "comm/arena.hpp"
-#include "comm/flight_hook.hpp"
-#include "comm/race_hook.hpp"
-#include "exec/executor.hpp"
-#include "support/random.hpp"
-#include "support/timer.hpp"
-
-#ifdef SP_EXEC_PROCESS
-#include <unistd.h>
-
 #include "comm/process_host.hpp"
 #include "comm/process_proto.hpp"
 #include "comm/wire.hpp"
-#endif
+#include "exec/executor.hpp"
+#include "support/random.hpp"
+#include "support/timer.hpp"
 
 namespace sp::comm {
 
@@ -47,11 +40,10 @@ bool contains_rank(const std::vector<std::uint32_t>& members,
 }
 }  // namespace
 
-/// One sender's contribution to a destination mailbox. In coalesced mode
-/// (BspEngine::Options::coalesce_exchanges, the default) all of a
-/// sender's packets to one destination collapse into a single `packed`
-/// entry framed as repeated [u64 payload length][payload bytes] — one
-/// message per peer, so the LogP accounting charges one t_s startup per
+/// One sender's contribution to a destination mailbox. All of a sender's
+/// packets to one destination collapse into a single `packed` entry
+/// framed as repeated [u64 payload length][payload bytes] — one message
+/// per peer, so the LogP accounting charges one t_s startup per
 /// destination. A lone packet travels unpacked, buffer moved end to end
 /// with zero copies.
 struct InboxEntry {
@@ -73,15 +65,12 @@ void append_frame(std::vector<std::byte>& buf,
                 payload.size());
   }
 }
-}  // namespace
 
-#ifdef SP_EXEC_PROCESS
 /// Byte-level combiner (the same std::function type as Comm's private
 /// Combiner alias, spelled out so free helpers can name it).
 using ByteCombiner = std::function<void(std::vector<std::byte>&,
                                         const std::vector<std::byte>&)>;
 
-namespace {
 /// Unpacks a process-mode allreduce result — the contributions shipped as
 /// group-rank-ordered [u64 len][payload] frames — and folds them with
 /// `combiner`: the same left comb over ranks 0..P-1 the in-process
@@ -116,7 +105,6 @@ void write_site(WireWriter& w, const analysis::CallSite& site) {
   w.str(site.function != nullptr ? site.function : "");
 }
 }  // namespace
-#endif  // SP_EXEC_PROCESS
 
 /// Thrown into a rank to unwind it when the fault plan kills it.
 /// Deliberately not derived from std::exception so that user-level
@@ -180,12 +168,6 @@ class EngineImpl {
       throw FaultPlanError(
           "FailureDetectorOptions: backoff_seconds must be >= 0");
     }
-    // SP_COMM_NO_COALESCE=1 forces the legacy one-mailbox-entry-per-packet
-    // path: the differential tests diff it against the coalesced default.
-    const char* env = std::getenv("SP_COMM_NO_COALESCE");
-    coalesce_ = opt_.coalesce_exchanges &&
-                !(env != nullptr && env[0] != '\0' &&
-                  std::string_view(env) != "0");
     arenas_ = std::vector<BufferArena>(opt_.nranks);
     coalesced_batches_.assign(opt_.nranks, 0);
     exec::ExecOptions eo;
@@ -230,7 +212,6 @@ class EngineImpl {
     world_->members.resize(opt_.nranks);
     for (std::uint32_t r = 0; r < opt_.nranks; ++r) world_->members[r] = r;
 
-#ifdef SP_EXEC_PROCESS
     // Multi-process backend: fork ranks 1..P-1 now (before any rank body
     // runs, so every address both sides will ever name is fork-stable),
     // handshake, and seed one world mirror per child. In a child,
@@ -248,13 +229,8 @@ class EngineImpl {
         if (engine != nullptr) engine->teardown_process_backend_();
       }
     } process_teardown{process_ranks ? this : nullptr};
-#endif
 
-#ifdef SP_ANALYSIS
-    // Rank spawn, happens-before-wise: all ranks fork from the host here
-    // with fresh vector clocks (race_hook.hpp).
-    if (RaceSink* rs = race_sink()) rs->on_run_begin(opt_.nranks);
-#endif
+    emit_run_begin();
 
     // The executor runs the rank bodies — as fibers resumed in Schedule
     // order, or as real threads. When no rank can make progress (a full
@@ -272,14 +248,12 @@ class EngineImpl {
     exec_->run(opt_.nranks,
                [this](std::uint32_t rank) { rank_main_(rank); });
 
-#ifdef SP_EXEC_PROCESS
     if (process_ranks) {
       // Clean completion: tear down deterministically (EOF the channels,
       // reap every child) before the result-integrity checks below.
       process_teardown.engine = nullptr;
       teardown_process_backend_();
     }
-#endif
 
     for (auto& ex : exceptions_) {
       if (ex) std::rethrow_exception(ex);
@@ -320,11 +294,7 @@ class EngineImpl {
       stats.comm_counters.arena_acquires += a.acquires;
       stats.comm_counters.arena_hits += a.hits;
       stats.comm_counters.arena_released += a.released;
-#ifdef SP_OBS
-      if (ObsSink* sink = obs_sink()) {
-        sink->on_comm_counters(r, coalesced_batches_[r], a.acquires, a.hits);
-      }
-#endif
+      emit_comm_counters(r, a);
     }
     return stats;
   }
@@ -422,7 +392,6 @@ class EngineImpl {
   // by the park/join that precedes them.
 
   void add_compute(std::uint32_t world_rank, double units) {
-#ifdef SP_EXEC_PROCESS
     if (child_ != nullptr) {
       // One-way: FIFO ordering on the data socket lands it in the
       // parent's accounting before this rank's next rendezvous.
@@ -432,7 +401,6 @@ class EngineImpl {
       child_->data->send(w.buffer());
       return;
     }
-#endif
     double seconds =
         units * opt_.model.seconds_per_unit * fault_time_scale_(world_rank);
     clocks_[world_rank] += seconds;
@@ -445,14 +413,12 @@ class EngineImpl {
   void set_stage(std::uint32_t world_rank, const std::string& stage) {
     stages_[world_rank] = stage;  // keeps stage_of() current child-side too
     stage_events_[world_rank] = 0;
-#ifdef SP_EXEC_PROCESS
     if (child_ != nullptr) {
       WireWriter w;
       w.u8(static_cast<std::uint8_t>(Verb::kSetStage));
       w.str(stage);
       child_->data->send(w.buffer());
     }
-#endif
   }
 
   const std::string& stage_of(std::uint32_t world_rank) const {
@@ -460,9 +426,7 @@ class EngineImpl {
   }
 
   double clock(std::uint32_t world_rank) const {
-#ifdef SP_EXEC_PROCESS
     if (child_ != nullptr) return child_clock();
-#endif
     return clocks_[world_rank];
   }
 
@@ -580,20 +544,10 @@ class EngineImpl {
         ++detector_stats_.retries;
         st.detector_wait += opt_.detector.backoff_seconds * n;
       }
-#ifdef SP_OBS
-      DetectorEvent ev;
-      ev.suspect = w;
-      ev.suspicions = n;
-      ev.lag_seconds = lag;
-      ev.escalated = escalated;
-      if (ObsSink* sink = obs_sink()) sink->on_detector(ev);
       // The suspect is parked at this rendezvous, so its arrival clock is
       // its current clock — the time a postmortem should pin the
       // suspicion to.
-      if (FlightSink* fs = flight_sink()) {
-        fs->on_detector(ev, st.arrive_clock[g]);
-      }
-#endif
+      emit_detector(DetectorEvent{w, n, lag, escalated}, st.arrive_clock[g]);
     }
   }
 
@@ -732,17 +686,13 @@ class EngineImpl {
   }
 
   const CostSnapshot& snapshot(std::uint32_t world_rank) const {
-#ifdef SP_EXEC_PROCESS
     if (child_ != nullptr) return child_cost_snapshot();
-#endif
     return totals_[world_rank];
   }
 
   void set_clock(std::uint32_t world_rank, double value) {
     clocks_[world_rank] = value;
   }
-
-  bool coalesce() const { return coalesce_; }
 
   /// Rank `world_rank`'s buffer arena. Thread-confined: only rank
   /// `world_rank` may call this (senders acquire from their own arena;
@@ -754,7 +704,66 @@ class EngineImpl {
     coalesced_batches_[world_rank] += n;
   }
 
-  // ---- Multi-process backend (SP_EXEC_PROCESS; DESIGN.md §11) ----
+  // ---- Event stream (comm/events.hpp) ----
+  //
+  // One helper per engine event, each a loop over the subscribers (empty
+  // unless an observer is installed). The rendezvous, detector and kill
+  // events are emitted with the engine lock held.
+
+  void emit_run_begin() {
+    for (EventSink* s : subscribers()) s->on_run_begin(opt_.nranks);
+  }
+
+  void emit_arrive(std::uint32_t world_rank, std::uint64_t group,
+                   std::uint64_t seq, double clock, const char* op) {
+    for (EventSink* s : subscribers()) {
+      s->on_arrive(world_rank, group, seq, clock, op, &stages_[world_rank]);
+    }
+  }
+
+  /// Completed op of `world_rank`, ending at its current clock.
+  void emit_comm_op(std::uint32_t world_rank, const char* op,
+                    std::uint64_t group, std::uint64_t seq, double t_begin,
+                    std::uint64_t messages, std::uint64_t bytes,
+                    bool is_collective) {
+    if (subscribers().empty()) return;
+    const CommOpEvent ev{.world_rank = world_rank,
+                         .op = op,
+                         .stage = &stages_[world_rank],
+                         .group = group,
+                         .seq = seq,
+                         .t_begin = t_begin,
+                         .t_end = clocks_[world_rank],
+                         .messages = messages,
+                         .bytes = bytes,
+                         .is_collective = is_collective};
+    for (EventSink* s : subscribers()) s->on_comm_op(ev);
+  }
+
+  void emit_pickup(std::uint32_t world_rank, std::uint64_t group,
+                   std::uint64_t seq) {
+    for (EventSink* s : subscribers()) s->on_pickup(world_rank, group, seq);
+  }
+
+  void emit_detector(const DetectorEvent& ev, double clock) {
+    for (EventSink* s : subscribers()) s->on_detector(ev, clock);
+  }
+
+  void emit_rank_killed(std::uint32_t world_rank) {
+    for (EventSink* s : subscribers()) {
+      s->on_rank_killed(world_rank, clocks_[world_rank], &stages_[world_rank]);
+    }
+  }
+
+  void emit_comm_counters(std::uint32_t world_rank,
+                          const BufferArena::Stats& arena) {
+    for (EventSink* s : subscribers()) {
+      s->on_comm_counters(world_rank, coalesced_batches_[world_rank],
+                          arena.acquires, arena.hits);
+    }
+  }
+
+  // ---- Multi-process backend (DESIGN.md §11) ----
   //
   // Parent side: ranks 1..P-1 are forked child processes. Each gets a
   // proxy fiber (proxy_main_) that replays the child's RPC stream against
@@ -770,18 +779,11 @@ class EngineImpl {
 
   /// True in a forked child process (this rank's Comm calls go over the
   /// wire).
-  bool in_child() const {
-#ifdef SP_EXEC_PROCESS
-    return child_ != nullptr;
-#else
-    return false;
-#endif
-  }
+  bool in_child() const { return child_ != nullptr; }
 
   /// True in the parent while supervising forked rank processes.
   bool process_mode() const { return process_mode_; }
 
-#ifdef SP_EXEC_PROCESS
   // ---- Child-side RPC stubs (Comm methods call these via in_child()) ----
 
   std::vector<std::byte> child_collective(Comm& comm, Comm::CollKind kind,
@@ -954,7 +956,6 @@ class EngineImpl {
     r.expect_done();
     return out;
   }
-#endif  // SP_EXEC_PROCESS
 
  private:
   /// Straggler model: the product of all active slowdown factors for a
@@ -976,19 +977,9 @@ class EngineImpl {
   [[noreturn]] void kill_rank_(std::uint32_t r) {
     failed_[r] = true;
     failed_order_.push_back(r);
-#ifdef SP_ANALYSIS
-    // The victim's history is ordered (via the engine lock, on both
-    // backends) before every rendezvous completed after this point; the
-    // sink folds its clock into a fail-join applied at later pickups.
-    if (RaceSink* rs = race_sink()) rs->on_rank_killed(r);
-#endif
-#ifdef SP_OBS
-    // Terminal record of the victim's flight lane: its death time and
-    // the pipeline stage it died in (what tools/postmortem reports).
-    if (FlightSink* fs = flight_sink()) {
-      fs->on_rank_killed(r, clocks_[r], &stages_[r]);
-    }
-#endif
+    // Under the engine lock, so the victim's history is ordered before
+    // every rendezvous that completes after this point.
+    emit_rank_killed(r);
     for (auto& [key, st] : states_) {
       // A pending rendezvous expecting the dead rank can never fill up.
       // (The dead rank itself is never mid-rendezvous: crashes fire at
@@ -1003,7 +994,6 @@ class EngineImpl {
     throw RankKilled{};
   }
 
-#ifdef SP_EXEC_PROCESS
   // ---- Parent-side supervisor machinery ----
 
   /// Handshake nonce: pid + per-engine run counter, hashed. Unique enough
@@ -1382,21 +1372,15 @@ class EngineImpl {
     }
     send_to_child_(rank, w.buffer());
   }
-#endif  // SP_EXEC_PROCESS
 
   void rank_main_(std::uint32_t rank) {
     try {
-#ifdef SP_EXEC_PROCESS
       if (process_mode_ && rank > 0) {
         proxy_main_(rank);
       } else {
         Comm comm(this, world_, rank, rank);
         (*program_)(comm);
       }
-#else
-      Comm comm(this, world_, rank, rank);
-      (*program_)(comm);
-#endif
     } catch (const RankKilled&) {
       // Fault-plan crash: the death is already recorded; the rank just
       // retires without surfacing an exception.
@@ -1428,7 +1412,6 @@ class EngineImpl {
   std::vector<std::uint32_t> suspicions_;  // detector suspicions, by world rank
   std::vector<bool> doomed_;  // detector-declared failed; killed at pickup
   DetectorStats detector_stats_;
-  bool coalesce_ = true;  // exchange coalescing (Options + SP_COMM_NO_COALESCE)
   std::vector<BufferArena> arenas_;  // by world rank; see arena() for ownership
   std::vector<std::uint64_t> coalesced_batches_;  // packed messages per rank
   /// Most recent call signature per world rank (deadlock diagnostics and
@@ -1450,7 +1433,6 @@ class EngineImpl {
   /// True while run() supervises forked rank processes (parent side; the
   /// children inherit it as true, but in_child() dominates there).
   bool process_mode_ = false;
-#ifdef SP_EXEC_PROCESS
   std::unique_ptr<ProcessHost> host_;         // parent-side supervisor
   std::vector<std::uint8_t> proxy_awaiting_;  // proxy parked on child traffic
   /// Per remote rank: group id -> mirror Comm the proxy replays through.
@@ -1459,7 +1441,6 @@ class EngineImpl {
   std::uint64_t run_counter_ = 0;   // handshake nonce derivation
   std::unique_ptr<ChildEndpoint> child_;  // child side; null in the parent
   mutable CostSnapshot child_snapshot_;   // reply buffer, cost_snapshot RPC
-#endif
 
  public:
   void resize_blocked() { blocked_on_.assign(opt_.nranks, nullptr); }
@@ -1469,59 +1450,21 @@ class EngineImpl {
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
-// Observability sink (see obs_hook.hpp). Installed by the host before a
-// run and read (never written) by rank bodies, so a plain global pointer
-// is safe on both backends; the sink object itself synchronizes its
-// mutations (obs::Recorder locks internally).
+// Event subscribers (see events.hpp). Changed by the host between runs and
+// only read while one runs, so a plain global is safe on every backend.
 // ---------------------------------------------------------------------------
 
 namespace {
-ObsSink* g_obs_sink = nullptr;
+std::vector<EventSink*> g_subscribers;
 }  // namespace
 
-ObsSink* obs_sink() { return g_obs_sink; }
-
-ObsSink* set_obs_sink(ObsSink* sink) {
-  ObsSink* prev = g_obs_sink;
-  g_obs_sink = sink;
-  return prev;
+void subscribe(EventSink* sink) {
+  if (sink != nullptr) g_subscribers.push_back(sink);
 }
 
-// ---------------------------------------------------------------------------
-// Happens-before sink (see race_hook.hpp). Same install discipline as the
-// ObsSink: the host sets it before a run and clears it after, rank bodies
-// only ever read the pointer; the sink synchronizes internally.
-// ---------------------------------------------------------------------------
+void unsubscribe(EventSink* sink) { std::erase(g_subscribers, sink); }
 
-namespace {
-RaceSink* g_race_sink = nullptr;
-}  // namespace
-
-RaceSink* race_sink() { return g_race_sink; }
-
-RaceSink* set_race_sink(RaceSink* sink) {
-  RaceSink* prev = g_race_sink;
-  g_race_sink = sink;
-  return prev;
-}
-
-// ---------------------------------------------------------------------------
-// Flight-recorder sink (see flight_hook.hpp). Same install discipline as
-// the ObsSink; every engine-side emission is SP_OBS-gated, so with obs
-// compiled out the pointer simply stays null and untouched.
-// ---------------------------------------------------------------------------
-
-namespace {
-FlightSink* g_flight_sink = nullptr;
-}  // namespace
-
-FlightSink* flight_sink() { return g_flight_sink; }
-
-FlightSink* set_flight_sink(FlightSink* sink) {
-  FlightSink* prev = g_flight_sink;
-  g_flight_sink = sink;
-  return prev;
-}
+const std::vector<EventSink*>& subscribers() { return g_subscribers; }
 
 // ---------------------------------------------------------------------------
 // Comm implementation
@@ -1593,19 +1536,15 @@ std::vector<std::byte> Comm::collective_(CollKind kind,
                                          std::vector<std::size_t>* counts,
                                          std::uint32_t elem_width,
                                          const analysis::CallSite& site) {
-#ifdef SP_EXEC_PROCESS
   if (engine_->in_child()) {
     return engine_->child_collective(*this, kind, std::move(payload), root,
                                      combiner, counts, elem_width, site);
   }
-#endif
   // The engine lock spans the whole rendezvous (released only while
   // parked in wait_all_arrived); RAII so every throw path unlocks.
   exec::ExecLock guard(engine_->executor());
   engine_->on_comm_event(world_rank_);
-#ifdef SP_OBS
-  const double obs_t_begin = engine_->clock(world_rank_);
-#endif
+  const double t_begin = engine_->clock(world_rank_);
   if (engine_->any_failed_in(*group_)) {
     // ULFM-style failure propagation: touching a communicator with a dead
     // member raises immediately. Consume the sequence number so survivors
@@ -1637,19 +1576,8 @@ std::vector<std::byte> Comm::collective_(CollKind kind,
   st.max_clock = std::max(st.max_clock, engine_->clock(world_rank_));
   engine_->record_arrival(st, group_rank_, world_rank_);
   ++st.arrived;
-#ifdef SP_ANALYSIS
-  if (RaceSink* rs = race_sink()) {
-    rs->on_rendezvous_arrive(world_rank_, group_->id, my_seq);
-  }
-#endif
-#ifdef SP_OBS
-  // Flight record of the *arrival* (not just the completion): if this
-  // rank never leaves the rendezvous, this is the last thing it did.
-  if (FlightSink* fs = flight_sink()) {
-    fs->on_arrive(world_rank_, group_->id, my_seq, obs_t_begin,
-                  coll_kind_name(kind), &engine_->stage_of(world_rank_));
-  }
-#endif
+  engine_->emit_arrive(world_rank_, group_->id, my_seq, t_begin,
+                       coll_kind_name(kind));
   engine_->notify_arrival(st);
   if (engine_->wait_all_arrived(world_rank_, st)) {
     engine_->observe_poison(st);
@@ -1753,23 +1681,8 @@ std::vector<std::byte> Comm::collective_(CollKind kind,
   engine_->set_clock(world_rank_, st.max_clock);
   engine_->charge_comm(world_rank_, seconds, msgs, bytes, /*is_collective=*/true);
   engine_->charge_detector_wait(world_rank_, st);
-#ifdef SP_OBS
-  if (obs_sink() != nullptr || flight_sink() != nullptr) {
-    CommOpEvent ev;
-    ev.world_rank = world_rank_;
-    ev.op = coll_kind_name(kind);
-    ev.stage = &engine_->stage_of(world_rank_);
-    ev.group = group_->id;
-    ev.seq = my_seq;
-    ev.t_begin = obs_t_begin;
-    ev.t_end = engine_->clock(world_rank_);
-    ev.messages = msgs;
-    ev.bytes = bytes;
-    ev.is_collective = true;
-    if (ObsSink* sink = obs_sink()) sink->on_comm_op(ev);
-    if (FlightSink* fs = flight_sink()) fs->on_comm_op(ev);
-  }
-#endif
+  engine_->emit_comm_op(world_rank_, coll_kind_name(kind), group_->id, my_seq,
+                        t_begin, msgs, bytes, /*is_collective=*/true);
 
   std::vector<std::byte> my_result;
   if (kind == CollKind::kGather) {
@@ -1778,22 +1691,14 @@ std::vector<std::byte> Comm::collective_(CollKind kind,
     my_result = st.result;
   }
   if (counts) *counts = st.contrib_sizes;
-#ifdef SP_EXEC_PROCESS
   if (engine_->process_mode() && kind == CollKind::kAllReduce &&
       combiner != nullptr) {
     // The in-parent rank folds its own copy of the packed contributions
     // (proxies ship theirs to the child instead; see the combine above).
     my_result = detail::fold_packed_allreduce(my_result, combiner);
   }
-#endif
 
-#ifdef SP_ANALYSIS
-  // Pickup: this rank leaves with the join of every member's arrival
-  // clock (all members arrived — wait_all_arrived returned clean).
-  if (RaceSink* rs = race_sink()) {
-    rs->on_rendezvous_pickup(world_rank_, group_->id, my_seq);
-  }
-#endif
+  engine_->emit_pickup(world_rank_, group_->id, my_seq);
   if (++st.pickups == st.expected) {
     engine_->erase_state(*group_, my_seq);
   }
@@ -1835,11 +1740,9 @@ std::vector<Comm::Packet> Comm::exchange_(std::vector<Packet> outgoing,
           std::to_string(nranks()) + " rank(s)");
     }
   }
-#ifdef SP_EXEC_PROCESS
   if (engine_->in_child()) {
     return engine_->child_exchange(*this, std::move(outgoing), site);
   }
-#endif
   auto inbox = unpack_entries_(exchange_core_(std::move(outgoing), site));
   // Detector escalation unwinds the doomed rank after its inbox is fully
   // formed (proxy dispatch does the same before serializing the reply).
@@ -1852,9 +1755,7 @@ std::vector<detail::InboxEntry> Comm::exchange_core_(
     std::vector<Packet> outgoing, const analysis::CallSite& site) {
   exec::ExecLock guard(engine_->executor());
   engine_->on_comm_event(world_rank_);
-#ifdef SP_OBS
-  const double obs_t_begin = engine_->clock(world_rank_);
-#endif
+  const double t_begin = engine_->clock(world_rank_);
   if (engine_->any_failed_in(*group_)) {
     ++seq_;  // keep survivors' sequence numbers aligned (see collective_)
     throw RankFailedError(engine_->all_failed());
@@ -1876,62 +1777,41 @@ std::vector<detail::InboxEntry> Comm::exchange_core_(
   const std::uint64_t my_seq = seq_++;
   st.is_exchange = true;
 
-  // Deliver into the per-destination mailboxes. Coalesced mode batches
-  // everything this rank sends to one destination into a single packed
-  // message, so msgs_out counts *distinct destinations* — one t_s startup
-  // per peer (DESIGN.md §3a). Legacy mode keeps one entry per packet.
-  // Either way the whole loop runs under the engine lock, so this rank's
+  // Deliver into the per-destination mailboxes, batching everything this
+  // rank sends to one destination into a single packed message: msgs_out
+  // counts *distinct destinations* — one t_s startup per peer (DESIGN.md
+  // §3a). The whole loop runs under the engine lock, so this rank's
   // entries are consecutive in each mailbox (box.back() is ours iff we
   // already delivered to that destination this superstep).
   std::uint64_t bytes_out = 0;
   std::uint64_t msgs_out = 0;
-  if (!engine_->coalesce()) {
-    msgs_out = outgoing.size();
-    for (auto& p : outgoing) {
-      bytes_out += p.data.size();
-      st.inboxes[p.peer].push_back(
-          detail::InboxEntry{group_rank_, false, std::move(p.data)});
+  BufferArena& arena = engine_->arena(world_rank_);
+  std::uint64_t batches = 0;
+  for (auto& p : outgoing) {
+    bytes_out += p.data.size();
+    auto& box = st.inboxes[p.peer];
+    if (box.empty() || box.back().src != group_rank_) {
+      ++msgs_out;  // first packet to this destination: moves through as-is
+      box.push_back(detail::InboxEntry{group_rank_, false, std::move(p.data)});
+      continue;
     }
-  } else {
-    BufferArena& arena = engine_->arena(world_rank_);
-    std::uint64_t batches = 0;
-    for (auto& p : outgoing) {
-      bytes_out += p.data.size();
-      auto& box = st.inboxes[p.peer];
-      if (box.empty() || box.back().src != group_rank_) {
-        ++msgs_out;  // first packet to this destination: moves through as-is
-        box.push_back(
-            detail::InboxEntry{group_rank_, false, std::move(p.data)});
-        continue;
-      }
-      detail::InboxEntry& e = box.back();
-      if (!e.packed) {
-        std::vector<std::byte> first = std::move(e.data);
-        e.data = arena.acquire(0);
-        detail::append_frame(e.data, first);
-        arena.release(std::move(first));
-        e.packed = true;
-        ++batches;
-      }
-      detail::append_frame(e.data, p.data);
-      arena.release(std::move(p.data));
+    detail::InboxEntry& e = box.back();
+    if (!e.packed) {
+      std::vector<std::byte> first = std::move(e.data);
+      e.data = arena.acquire(0);
+      detail::append_frame(e.data, first);
+      arena.release(std::move(first));
+      e.packed = true;
+      ++batches;
     }
-    if (batches != 0) engine_->add_coalesced_batches(world_rank_, batches);
+    detail::append_frame(e.data, p.data);
+    arena.release(std::move(p.data));
   }
+  if (batches != 0) engine_->add_coalesced_batches(world_rank_, batches);
   st.max_clock = std::max(st.max_clock, engine_->clock(world_rank_));
   engine_->record_arrival(st, group_rank_, world_rank_);
   ++st.arrived;
-#ifdef SP_ANALYSIS
-  if (RaceSink* rs = race_sink()) {
-    rs->on_rendezvous_arrive(world_rank_, group_->id, my_seq);
-  }
-#endif
-#ifdef SP_OBS
-  if (FlightSink* fs = flight_sink()) {
-    fs->on_arrive(world_rank_, group_->id, my_seq, obs_t_begin, "exchange",
-                  &engine_->stage_of(world_rank_));
-  }
-#endif
+  engine_->emit_arrive(world_rank_, group_->id, my_seq, t_begin, "exchange");
   engine_->notify_arrival(st);
   if (engine_->wait_all_arrived(world_rank_, st)) {
     engine_->observe_poison(st);
@@ -1951,7 +1831,7 @@ std::vector<detail::InboxEntry> Comm::exchange_core_(
                    });
 
   // msgs_in mirrors msgs_out's accounting: received *messages*, i.e.
-  // mailbox entries — per-peer batches when coalescing, packets otherwise.
+  // mailbox entries — one per sending peer.
   // bytes_in counts payload bytes only (the frame headers of a packed
   // batch are wire overhead, invisible to the cost model); it is computed
   // by walking the entries so the actual unpack can happen outside the
@@ -1980,29 +1860,9 @@ std::vector<detail::InboxEntry> Comm::exchange_core_(
   engine_->charge_comm(world_rank_, seconds, msgs_out, bytes_out,
                        /*is_collective=*/false);
   engine_->charge_detector_wait(world_rank_, st);
-#ifdef SP_OBS
-  if (obs_sink() != nullptr || flight_sink() != nullptr) {
-    CommOpEvent ev;
-    ev.world_rank = world_rank_;
-    ev.op = "exchange";
-    ev.stage = &engine_->stage_of(world_rank_);
-    ev.group = group_->id;
-    ev.seq = my_seq;
-    ev.t_begin = obs_t_begin;
-    ev.t_end = engine_->clock(world_rank_);
-    ev.messages = msgs_out;
-    ev.bytes = bytes_out;
-    ev.is_collective = false;
-    if (ObsSink* sink = obs_sink()) sink->on_comm_op(ev);
-    if (FlightSink* fs = flight_sink()) fs->on_comm_op(ev);
-  }
-#endif
-
-#ifdef SP_ANALYSIS
-  if (RaceSink* rs = race_sink()) {
-    rs->on_rendezvous_pickup(world_rank_, group_->id, my_seq);
-  }
-#endif
+  engine_->emit_comm_op(world_rank_, "exchange", group_->id, my_seq, t_begin,
+                        msgs_out, bytes_out, /*is_collective=*/false);
+  engine_->emit_pickup(world_rank_, group_->id, my_seq);
   if (++st.pickups == st.expected) {
     engine_->erase_state(*group_, my_seq);
   }
@@ -2035,50 +1895,36 @@ std::vector<Comm::Packet> Comm::unpack_entries_(
   return inbox;
 }
 
-bool Comm::remote_memory() const {
-#ifdef SP_EXEC_PROCESS
-  return engine_->in_child();
-#else
-  return false;
-#endif
-}
+bool Comm::remote_memory() const { return engine_->in_child(); }
 
 void Comm::host_store(void* addr, const void* src, std::size_t len) const {
-#ifdef SP_EXEC_PROCESS
   if (engine_->in_child()) {
     engine_->child_host_store(addr, src, len);
     return;
   }
-#endif
   if (len != 0) std::memcpy(addr, src, len);
 }
 
 void Comm::host_load(const void* addr, void* dst, std::size_t len) const {
-#ifdef SP_EXEC_PROCESS
   if (engine_->in_child()) {
     engine_->child_host_load(addr, dst, len);
     return;
   }
-#endif
   if (len != 0) std::memcpy(dst, addr, len);
 }
 
 void Comm::host_call_store(HostStoreThunk fn, void* ctx, const std::byte* data,
                            std::size_t len) const {
-#ifdef SP_EXEC_PROCESS
   if (engine_->in_child()) {
     engine_->child_host_call_store(fn, ctx, data, len);
     return;
   }
-#endif
   fn(ctx, data, len);
 }
 
 std::vector<std::byte> Comm::host_call_load(HostLoadThunk fn,
                                             const void* ctx) const {
-#ifdef SP_EXEC_PROCESS
   if (engine_->in_child()) return engine_->child_host_call_load(fn, ctx);
-#endif
   std::vector<std::byte> out;
   fn(ctx, out);
   return out;
@@ -2091,9 +1937,7 @@ Comm Comm::split(std::uint32_t color, std::uint32_t key,
 
 Comm Comm::split_(std::uint32_t color, std::uint32_t key,
                   const analysis::CallSite& site) {
-#ifdef SP_EXEC_PROCESS
   if (engine_->in_child()) return engine_->child_split(*this, color, key, site);
-#endif
   // Gather (color, key, world rank) triples from the whole group. The
   // user's split call site is forwarded so divergence reports name it,
   // not this internal allgather.
@@ -2135,9 +1979,7 @@ Comm Comm::shrink(std::source_location loc) {
 }
 
 Comm Comm::shrink_(const analysis::CallSite& site) {
-#ifdef SP_EXEC_PROCESS
   if (engine_->in_child()) return engine_->child_shrink(*this, site);
-#endif
   // Shrink rendezvous are keyed off the engine-global failure count, not
   // this comm's seq_ counter: survivors reach shrink() having consumed
   // different numbers of sequence slots (some threw at entry, some were
@@ -2149,9 +1991,7 @@ Comm Comm::shrink_(const analysis::CallSite& site) {
   for (;;) {
     exec::ExecLock guard(engine_->executor());
     engine_->on_comm_event(world_rank_);  // a rank may die entering shrink
-#ifdef SP_OBS
-    const double obs_t_begin = engine_->clock(world_rank_);
-#endif
+    const double t_begin = engine_->clock(world_rank_);
     const std::uint64_t key = kShrinkBase + engine_->failed_count();
     std::vector<std::uint32_t> live = engine_->live_members(*group_);
     detail::CollState& st = engine_->state_for(
@@ -2170,17 +2010,7 @@ Comm Comm::shrink_(const analysis::CallSite& site) {
     }
     st.max_clock = std::max(st.max_clock, engine_->clock(world_rank_));
     ++st.arrived;
-#ifdef SP_ANALYSIS
-    if (RaceSink* rs = race_sink()) {
-      rs->on_rendezvous_arrive(world_rank_, group_->id, key);
-    }
-#endif
-#ifdef SP_OBS
-    if (FlightSink* fs = flight_sink()) {
-      fs->on_arrive(world_rank_, group_->id, key, obs_t_begin, "shrink",
-                    &engine_->stage_of(world_rank_));
-    }
-#endif
+    engine_->emit_arrive(world_rank_, group_->id, key, t_begin, "shrink");
     engine_->notify_arrival(st);
     if (engine_->wait_all_arrived(world_rank_, st)) {
       // Another rank died while this shrink was in flight: restart. The
@@ -2211,23 +2041,10 @@ Comm Comm::shrink_(const analysis::CallSite& site) {
                          static_cast<std::uint64_t>(log_p),
                          static_cast<std::uint64_t>(bytes),
                          /*is_collective=*/true);
-#ifdef SP_OBS
-    if (obs_sink() != nullptr || flight_sink() != nullptr) {
-      CommOpEvent ev;
-      ev.world_rank = world_rank_;
-      ev.op = "shrink";
-      ev.stage = &engine_->stage_of(world_rank_);
-      ev.group = group_->id;
-      ev.seq = key;
-      ev.t_begin = obs_t_begin;
-      ev.t_end = engine_->clock(world_rank_);
-      ev.messages = static_cast<std::uint64_t>(log_p);
-      ev.bytes = static_cast<std::uint64_t>(bytes);
-      ev.is_collective = true;
-      if (ObsSink* sink = obs_sink()) sink->on_comm_op(ev);
-      if (FlightSink* fs = flight_sink()) fs->on_comm_op(ev);
-    }
-#endif
+    engine_->emit_comm_op(world_rank_, "shrink", group_->id, key, t_begin,
+                          static_cast<std::uint64_t>(log_p),
+                          static_cast<std::uint64_t>(bytes),
+                          /*is_collective=*/true);
 
     auto group = std::make_shared<detail::GroupInfo>();
     group->id = engine_->group_id_for_split(group_->id, key, 0);
@@ -2236,13 +2053,9 @@ Comm Comm::shrink_(const analysis::CallSite& site) {
     for (std::uint32_t i = 0; i < members.size(); ++i) {
       if (members[i] == world_rank_) my_index = i;
     }
-#ifdef SP_ANALYSIS
     // A completed shrink joins every survivor's clock — this is the edge
     // that orders a failed attempt's writes before the recovery rerun.
-    if (RaceSink* rs = race_sink()) {
-      rs->on_rendezvous_pickup(world_rank_, group_->id, key);
-    }
-#endif
+    engine_->emit_pickup(world_rank_, group_->id, key);
     if (++st.pickups == st.expected) {
       engine_->erase_state(*group_, key);
     }

@@ -39,7 +39,7 @@
 #include "analysis/signature.hpp"
 #include "comm/cost_model.hpp"
 #include "comm/fault_plan.hpp"
-#include "comm/obs_hook.hpp"
+#include "comm/events.hpp"
 #include "comm/trace.hpp"
 #include "support/assert.hpp"
 
@@ -440,14 +440,6 @@ class BspEngine {
     Schedule schedule = Schedule::kRoundRobin;
     /// Seed for Schedule::kSeededShuffle (ignored otherwise).
     std::uint64_t schedule_seed = 0x5EEDu;
-    /// Coalesce per-superstep exchange packets into one packed message per
-    /// destination peer (DESIGN.md §3a). The LogP accounting then charges
-    /// one t_s startup per distinct peer — which is numerically identical
-    /// to per-packet accounting for every library call site (they all send
-    /// at most one packet per peer), so clocks, traces, and partitions are
-    /// bit-identical with coalescing on or off. The env var
-    /// SP_COMM_NO_COALESCE=1 forces the legacy path (differential tests).
-    bool coalesce_exchanges = true;
   };
 
   explicit BspEngine(Options options);

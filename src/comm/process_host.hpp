@@ -15,8 +15,6 @@
 // frame is how a SIGKILLed child announces itself — the proxy maps that
 // to the engine's kill/poison path, landing real crashes in exactly the
 // modeled FaultPlan failure machinery.
-//
-// Compiled only when SP_EXEC_PROCESS is on (POSIX: fork/socketpair).
 #pragma once
 
 #include <sys/types.h>

@@ -54,11 +54,11 @@ using RankTrace = std::map<std::string, StageCost>;
 
 /// Run-wide mailbox/allocator counters, summed over ranks (DESIGN.md §3a).
 /// Diagnostic like wall_seconds: excluded from RunStats::fingerprint(),
-/// and legitimately different between the coalesced and legacy
-/// (SP_COMM_NO_COALESCE=1) paths even though clocks/traces are identical.
+/// since arena hits depend on what earlier runs of the same engine left
+/// pooled, not on the program.
 struct CommRunCounters {
   /// Packed multi-packet messages formed by exchange coalescing (0 when
-  /// coalescing is off or no call site sent >1 packet to one peer).
+  /// no call site sent >1 packet to one peer).
   std::uint64_t coalesced_batches = 0;
   std::uint64_t arena_acquires = 0;  // buffer requests served by the arenas
   std::uint64_t arena_hits = 0;      // ... served without allocating

@@ -8,11 +8,7 @@
 namespace sp::exec::detail {
 
 std::unique_ptr<Executor> make_fiber_executor(const ExecOptions& options);
-#ifdef SP_EXEC_THREADS
 std::unique_ptr<Executor> make_thread_executor(const ExecOptions& options);
-#endif
-#ifdef SP_EXEC_PROCESS
 std::unique_ptr<Executor> make_process_executor(const ExecOptions& options);
-#endif
 
 }  // namespace sp::exec::detail

@@ -28,40 +28,14 @@ Backend parse_backend(std::string_view name) {
       "' (expected 'fiber', 'threads', or 'process')");
 }
 
-bool threads_backend_available() {
-#ifdef SP_EXEC_THREADS
-  return true;
-#else
-  return false;
-#endif
-}
-
-bool process_backend_available() {
-#ifdef SP_EXEC_PROCESS
-  return true;
-#else
-  return false;
-#endif
-}
-
 std::unique_ptr<Executor> Executor::make(const ExecOptions& options) {
   switch (options.backend) {
     case Backend::kFiber:
       return detail::make_fiber_executor(options);
     case Backend::kThreads:
-#ifdef SP_EXEC_THREADS
       return detail::make_thread_executor(options);
-#else
-      throw UnsupportedBackendError(
-          Backend::kThreads, "disabled at build time (SP_EXEC_THREADS=OFF)");
-#endif
     case Backend::kProcess:
-#ifdef SP_EXEC_PROCESS
       return detail::make_process_executor(options);
-#else
-      throw UnsupportedBackendError(
-          Backend::kProcess, "disabled at build time (SP_EXEC_PROCESS=OFF)");
-#endif
   }
   throw std::invalid_argument("unknown execution backend");
 }

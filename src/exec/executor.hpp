@@ -42,8 +42,6 @@
 #include <exception>
 #include <functional>
 #include <memory>
-#include <stdexcept>
-#include <string>
 #include <string_view>
 
 #include "exec/schedule.hpp"
@@ -59,32 +57,8 @@ enum class Backend : std::uint8_t {
 const char* backend_name(Backend b);
 
 /// Parses "fiber" / "threads" / "process". Throws std::invalid_argument
-/// on anything else (a compiled-out backend parses fine — the factory
-/// rejects it with UnsupportedBackendError; parse keeps the spelling
-/// check close to the flag and availability close to construction).
+/// on anything else.
 Backend parse_backend(std::string_view name);
-
-/// True when this build can construct the kThreads backend.
-bool threads_backend_available();
-
-/// True when this build can construct the kProcess backend.
-bool process_backend_available();
-
-/// Thrown by Executor::make when the requested backend was compiled out
-/// (SP_EXEC_THREADS=OFF / SP_EXEC_PROCESS=OFF). A structured error — not
-/// an assert — so callers that sweep backends (audit_backends, benches)
-/// can skip unavailable ones and CLIs can print a clean message.
-class UnsupportedBackendError : public std::runtime_error {
- public:
-  UnsupportedBackendError(Backend backend, std::string reason)
-      : std::runtime_error(std::string(backend_name(backend)) +
-                           " backend unavailable: " + reason),
-        backend_(backend) {}
-  Backend requested_backend() const { return backend_; }
-
- private:
-  Backend backend_;
-};
 
 struct ExecOptions {
   Backend backend = Backend::kFiber;
@@ -165,9 +139,7 @@ class Executor {
   using IdleHandler = std::function<bool()>;
   virtual void set_idle_handler(IdleHandler handler) { (void)handler; }
 
-  /// Builds the configured backend. Throws UnsupportedBackendError when
-  /// the requested backend was compiled out (SP_EXEC_THREADS=OFF /
-  /// SP_EXEC_PROCESS=OFF).
+  /// Builds the configured backend.
   static std::unique_ptr<Executor> make(const ExecOptions& options);
 };
 

@@ -12,7 +12,7 @@
 #include <cstdint>
 #include <string>
 
-#include "comm/obs_hook.hpp"
+#include "comm/events.hpp"
 
 namespace sp::obs {
 

@@ -7,7 +7,7 @@
 // event is one fixed-size Record appended to its rank's ring (old events
 // are overwritten), and the only shared state is the string-intern table
 // behind its own mutex. Appends are single-writer per lane: span/mark
-// records come from the rank's own fiber/thread, and every engine-sink
+// records come from the rank's own fiber/thread, and every engine-event
 // record (comm op, arrival, kill, detector suspicion) is emitted under
 // the engine lock from a context ordered with the subject rank's own
 // appends — so there is no racing write to any lane on either backend
@@ -21,10 +21,11 @@
 //
 // The record stream never touches modeled clocks, partitions, or
 // fingerprints: it only *reads* rank state, so results are bit-identical
-// with the recorder on or off. With SP_OBS off every emission site
-// (obs::Span hooks, engine FlightSink calls, the scalapart auto-install)
-// is compiled out and the recorder never sees an event; the class itself
-// still builds so dump files stay decodable by tools/postmortem.
+// with the recorder on or off. With SP_OBS off the obs::Span hooks and the
+// scalapart auto-install are compiled out and ScopedFlightRecording does
+// not subscribe to the engine's event stream, so the recorder never sees
+// an event; the class itself still builds so dump files stay decodable by
+// tools/postmortem.
 #pragma once
 
 #include <chrono>
@@ -38,7 +39,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "comm/flight_hook.hpp"
+#include "comm/events.hpp"
 
 namespace sp::obs::flight {
 
@@ -107,7 +108,7 @@ struct StageWallStat {
   double modeled_max = 0.0;  // max per-rank modeled seconds for the key
 };
 
-class FlightRecorder : public comm::FlightSink {
+class FlightRecorder : public comm::EventSink {
  public:
   static constexpr std::uint32_t kDefaultCapacity = 256;
 
@@ -126,7 +127,7 @@ class FlightRecorder : public comm::FlightSink {
   void mark(std::uint32_t rank, std::string_view name, std::string_view cat,
             double t);
 
-  // ---- Engine sink (comm/flight_hook.hpp) ----
+  // ---- Engine events (comm/events.hpp) ----
 
   void on_comm_op(const comm::CommOpEvent& ev) override;
   void on_arrive(std::uint32_t world_rank, std::uint64_t group,
@@ -219,10 +220,9 @@ class FlightRecorder : public comm::FlightSink {
   std::string dump_path_;
 };
 
-/// RAII installer: `rec` becomes FlightRecorder::current() and the
-/// engine's FlightSink for this scope; the previous pair is restored on
-/// exit (nesting works). With SP_OBS off the install is a no-op — no
-/// emission site exists anyway.
+/// RAII installer: `rec` becomes FlightRecorder::current() and, with
+/// SP_OBS on, takes the previous recorder's place among the engine's
+/// subscribers for this scope; both are restored on exit (nesting works).
 class ScopedFlightRecording {
  public:
   explicit ScopedFlightRecording(FlightRecorder& rec);
@@ -232,7 +232,6 @@ class ScopedFlightRecording {
 
  private:
   FlightRecorder* prev_;
-  comm::FlightSink* prev_sink_;
 };
 
 /// Packs one Record (kRecordBytes, little-endian, field order as

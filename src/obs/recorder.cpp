@@ -99,7 +99,7 @@ void Recorder::on_comm_counters(std::uint32_t world_rank,
                static_cast<double>(arena_hits));
 }
 
-void Recorder::on_detector(const comm::DetectorEvent& ev) {
+void Recorder::on_detector(const comm::DetectorEvent& ev, double /*clock*/) {
   std::lock_guard<std::mutex> hold(mu_);
   metrics_.add("fault/detector_suspicions", ev.suspect, 1.0);
   metrics_.add(ev.escalated ? "fault/detector_escalations"
@@ -126,14 +126,20 @@ void Recorder::clear() {
   metrics_.clear();
 }
 
-ScopedRecording::ScopedRecording(Recorder& rec)
-    : prev_(Recorder::current_), prev_sink_(comm::set_obs_sink(&rec)) {
+ScopedRecording::ScopedRecording(Recorder& rec) : prev_(Recorder::current_) {
+#ifdef SP_OBS
+  comm::unsubscribe(prev_);
+  comm::subscribe(&rec);
+#endif
   Recorder::current_ = &rec;
 }
 
 ScopedRecording::~ScopedRecording() {
+#ifdef SP_OBS
+  comm::unsubscribe(Recorder::current_);
+  comm::subscribe(prev_);
+#endif
   Recorder::current_ = prev_;
-  comm::set_obs_sink(prev_sink_);
 }
 
 }  // namespace sp::obs

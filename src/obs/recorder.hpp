@@ -3,9 +3,10 @@
 //
 // Installation is scoped: `obs::Recorder rec; obs::ScopedRecording on(rec);`
 // makes `rec` both Recorder::current() (where obs::Span and the metric
-// helpers report) and the engine's ObsSink (comm/obs_hook.hpp). With no
-// recorder installed every instrumentation site is a cheap null check;
-// with SP_OBS off the sites do not exist at all.
+// helpers report) and a subscriber of the engine's event stream
+// (comm/events.hpp). With no recorder installed every instrumentation site
+// is a cheap null check; with SP_OBS off the sites do not exist at all and
+// the installer does not subscribe.
 //
 // Events land in per-rank lanes in program order, never interleaved
 // across ranks — which is why the serialized output is bit-identical
@@ -22,13 +23,13 @@
 #include <string_view>
 #include <vector>
 
-#include "comm/obs_hook.hpp"
+#include "comm/events.hpp"
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
 
 namespace sp::obs {
 
-class Recorder : public comm::ObsSink {
+class Recorder : public comm::EventSink {
  public:
   Recorder() = default;
 
@@ -48,7 +49,7 @@ class Recorder : public comm::ObsSink {
   void instant(std::uint32_t rank, std::string_view name, std::string_view cat,
                double t);
 
-  // ---- Engine sink ----
+  // ---- Engine events ----
 
   /// Records a kComplete comm event and feeds the comm metrics
   /// (comm/messages, comm/bytes, comm/ops.<op>).
@@ -56,8 +57,7 @@ class Recorder : public comm::ObsSink {
 
   /// Feeds the end-of-run mailbox/allocator counters into the metrics
   /// only (comm/coalesced_batches, comm/arena_acquires, comm/arena_hits)
-  /// — no lane event, so serialized traces stay byte-identical whether
-  /// exchange coalescing is on or off.
+  /// — no lane event, so serialized traces do not depend on them.
   void on_comm_counters(std::uint32_t world_rank,
                         std::uint64_t coalesced_batches,
                         std::uint64_t arena_acquires,
@@ -66,7 +66,7 @@ class Recorder : public comm::ObsSink {
   /// Feeds failure-detector decisions into the metrics
   /// (fault/detector_suspicions, fault/detector_retries,
   /// fault/detector_escalations), keyed by the suspected rank.
-  void on_detector(const comm::DetectorEvent& ev) override;
+  void on_detector(const comm::DetectorEvent& ev, double clock) override;
 
   // ---- Metrics ----
 
@@ -113,9 +113,9 @@ class Recorder : public comm::ObsSink {
   MetricsRegistry metrics_;
 };
 
-/// RAII installer: `rec` becomes Recorder::current() and the engine's
-/// comm-op sink for this scope; the previous pair is restored on exit
-/// (nesting works).
+/// RAII installer: `rec` becomes Recorder::current() and, with SP_OBS on,
+/// takes the previous recorder's place among the engine's subscribers for
+/// this scope; both are restored on exit (nesting works).
 class ScopedRecording {
  public:
   explicit ScopedRecording(Recorder& rec);
@@ -125,7 +125,6 @@ class ScopedRecording {
 
  private:
   Recorder* prev_;
-  comm::ObsSink* prev_sink_;
 };
 
 }  // namespace sp::obs

@@ -40,33 +40,6 @@ TEST(ExecBackend, ParseAndName) {
   EXPECT_STREQ(exec::backend_name(exec::Backend::kProcess), "process");
 }
 
-// parse_backend accepts the spelling of every known backend even when it
-// is compiled out; Executor::make is where a disabled backend fails, and
-// it must fail with the structured UnsupportedBackendError (so callers
-// can report "rebuild with SP_EXEC_*=ON"), never an assert.
-TEST(ExecBackend, CompiledOutBackendsFailStructured) {
-  for (exec::Backend b :
-       {exec::Backend::kThreads, exec::Backend::kProcess}) {
-    const bool available = b == exec::Backend::kThreads
-                               ? exec::threads_backend_available()
-                               : exec::process_backend_available();
-    exec::ExecOptions eo;
-    eo.backend = b;
-    if (available) {
-      EXPECT_NE(exec::Executor::make(eo), nullptr);
-      continue;
-    }
-    try {
-      (void)exec::Executor::make(eo);
-      FAIL() << exec::backend_name(b)
-             << ": expected UnsupportedBackendError";
-    } catch (const exec::UnsupportedBackendError& e) {
-      EXPECT_NE(std::string(e.what()).find("disabled at build time"),
-                std::string::npos);
-    }
-  }
-}
-
 TEST(ExecBackend, FiberBackendAlwaysAvailable) {
   exec::ExecOptions eo;
   auto ex = exec::Executor::make(eo);
@@ -124,12 +97,6 @@ TEST(ExecBackend, FiberCollectivesProduceExpectedValues) {
   for (std::int64_t r = 0; r < 8; ++r) EXPECT_EQ(res.gathered[r], r * 3 + 1);
   EXPECT_EQ(stats.backend, exec::Backend::kFiber);
   EXPECT_EQ(stats.threads, 1u);
-}
-
-#ifdef SP_EXEC_THREADS
-
-TEST(ExecBackend, ThreadsBackendAvailable) {
-  EXPECT_TRUE(exec::threads_backend_available());
 }
 
 TEST(ExecBackend, ThreadsMatchFiberOnCollectives) {
@@ -283,17 +250,6 @@ TEST(ExecBackend, ThreadsDefaultsToHardwareConcurrency) {
   auto ex = exec::Executor::make(eo);
   EXPECT_GE(ex->concurrency(), 1u);
 }
-
-#else  // !SP_EXEC_THREADS
-
-TEST(ExecBackend, ThreadsBackendRejectedWhenDisabled) {
-  EXPECT_FALSE(exec::threads_backend_available());
-  exec::ExecOptions eo;
-  eo.backend = exec::Backend::kThreads;
-  EXPECT_THROW(exec::Executor::make(eo), std::runtime_error);
-}
-
-#endif  // SP_EXEC_THREADS
 
 }  // namespace
 }  // namespace sp

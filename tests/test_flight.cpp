@@ -340,7 +340,8 @@ TEST(FlightOverhead, AppendStaysCheap) {
 }
 
 // ---------------------------------------------------------------------------
-// Pipeline integration (needs the SP_OBS emission sites)
+// Pipeline integration (needs SP_OBS: the span hooks, and the installer
+// subscribing the recorder to the engine's event stream)
 // ---------------------------------------------------------------------------
 
 #ifdef SP_OBS

@@ -75,9 +75,6 @@ void crash_recover_body(Comm& world0, bool real_kill, RecoveredResult* out) {
 }
 
 TEST(ProcessBackend, RealSigkillMatchesModeledCrashRecovery) {
-  if (!exec::process_backend_available()) {
-    GTEST_SKIP() << "SP_EXEC_PROCESS=OFF";
-  }
   constexpr std::uint32_t kRanks = 4;
 
   // Reference: the same death, modeled, on the fiber backend.
@@ -108,9 +105,6 @@ TEST(ProcessBackend, RealSigkillMatchesModeledCrashRecovery) {
 }
 
 TEST(ProcessBackend, SigkillWhileSurvivorsAreBlockedInRendezvous) {
-  if (!exec::process_backend_available()) {
-    GTEST_SKIP() << "SP_EXEC_PROCESS=OFF";
-  }
   // Rank 2 dies *without* entering the barrier the others are already
   // parked in — the supervisor must poison that rendezvous when the
   // socket EOFs, not wait for a frame that will never come.
@@ -142,9 +136,6 @@ TEST(ProcessBackend, SigkillWhileSurvivorsAreBlockedInRendezvous) {
 }
 
 TEST(ProcessBackend, HostMemorySeamRoundTrip) {
-  if (!exec::process_backend_available()) {
-    GTEST_SKIP() << "SP_EXEC_PROCESS=OFF";
-  }
   // Children live in forked address spaces: a plain store would mutate
   // their copy-on-write pages and vanish. Every access here goes through
   // the shared-state seam, so the canonical host objects must end up —
@@ -186,9 +177,6 @@ TEST(ProcessBackend, HostMemorySeamRoundTrip) {
 }
 
 TEST(ProcessBackend, SingleRankRunsInParentWithoutForking) {
-  if (!exec::process_backend_available()) {
-    GTEST_SKIP() << "SP_EXEC_PROCESS=OFF";
-  }
   std::int64_t seen = -1;
   BspEngine engine(process_opts(1));
   const RunStats stats = engine.run([&](Comm& c) {
@@ -200,9 +188,6 @@ TEST(ProcessBackend, SingleRankRunsInParentWithoutForking) {
 }
 
 TEST(ProcessBackend, EngineIsReusableAcrossRuns) {
-  if (!exec::process_backend_available()) {
-    GTEST_SKIP() << "SP_EXEC_PROCESS=OFF";
-  }
   // Each run forks a fresh set of children; two identical runs must
   // produce identical modeled traces.
   BspEngine engine(process_opts(4));

@@ -163,10 +163,10 @@ void BM_BspAllReduce(benchmark::State& state) {
 BENCHMARK(BM_BspAllReduce)->Arg(16)->Arg(256);
 
 // Flight-recorder overhead: the same collective loop as BM_BspAllReduce
-// with a FlightRecorder installed, so comparing the two (and a run built
-// with SP_OBS=OFF, where the installer leaves the recorder unsubscribed)
-// measures the steady-state cost of the always-on black box. Each rendezvous appends two records per rank (arrive + comm op);
-// the ring is sized to wrap several times over the run.
+// with a FlightRecorder installed, so comparing the two measures the
+// steady-state cost of the always-on black box. Each rendezvous appends
+// two records per rank (arrive + comm op); the ring is sized to wrap
+// several times over the run.
 void BM_BspAllReduceFlightRecorded(benchmark::State& state) {
   comm::BspEngine::Options opt;
   opt.nranks = static_cast<std::uint32_t>(state.range(0));

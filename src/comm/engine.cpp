@@ -405,9 +405,7 @@ class EngineImpl {
         units * opt_.model.seconds_per_unit * fault_time_scale_(world_rank);
     clocks_[world_rank] += seconds;
     traces_[world_rank][stages_[world_rank]].compute_seconds += seconds;
-#ifdef SP_OBS
     totals_[world_rank].compute_seconds += seconds;
-#endif
   }
 
   void set_stage(std::uint32_t world_rank, const std::string& stage) {
@@ -676,13 +674,11 @@ class EngineImpl {
     cost.bytes_sent += bytes;
     if (is_collective) ++cost.collectives;
     clocks_[world_rank] += seconds;
-#ifdef SP_OBS
     CostSnapshot& tot = totals_[world_rank];
     tot.comm_seconds += seconds;
     tot.messages += messages;
     tot.bytes_sent += bytes;
     if (is_collective) ++tot.collectives;
-#endif
   }
 
   const CostSnapshot& snapshot(std::uint32_t world_rank) const {
@@ -1400,7 +1396,7 @@ class EngineImpl {
 
   std::vector<double> clocks_;
   std::vector<RankTrace> traces_;
-  std::vector<CostSnapshot> totals_;  // cumulative per world rank (SP_OBS)
+  std::vector<CostSnapshot> totals_;  // cumulative per world rank
   std::vector<std::string> stages_;
   std::vector<bool> finished_;
   std::vector<std::exception_ptr> exceptions_;
@@ -1500,11 +1496,7 @@ void Comm::add_compute(double units) {
 double Comm::clock() const { return engine_->clock(world_rank_); }
 
 CostSnapshot Comm::cost_snapshot() const {
-#ifdef SP_OBS
   return engine_->snapshot(world_rank_);
-#else
-  return {};
-#endif
 }
 
 void Comm::barrier(std::source_location loc) {

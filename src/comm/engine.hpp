@@ -109,8 +109,7 @@ class Comm {
   double clock() const;
 
   /// Cumulative modeled cost of this rank so far (all stages). Used by
-  /// obs::Span to attribute comm/compute deltas to spans; returns zeros
-  /// when the build has SP_OBS off (the totals are not maintained then).
+  /// obs::Span to attribute comm/compute deltas to spans.
   CostSnapshot cost_snapshot() const;
 
   // ---- Collectives (all members must call; trivially-copyable T) ----

@@ -27,10 +27,9 @@
 // comes from rank bodies with no lock held, so a sink that handles it
 // synchronizes internally.
 //
-// The engine's emission sites carry no build flag. The flags gate the
-// scoped installers instead: SP_OBS gates obs::ScopedRecording and
-// obs::flight::ScopedFlightRecording, SP_ANALYSIS gates
-// analysis::ScopedRaceAudit (and the shared.hpp annotations).
+// The engine's emission sites carry no build flag. obs::ScopedRecording
+// and obs::flight::ScopedFlightRecording always subscribe; SP_ANALYSIS
+// gates analysis::ScopedRaceAudit (and the shared.hpp annotations).
 #pragma once
 
 #include <cstddef>

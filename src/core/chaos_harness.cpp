@@ -52,7 +52,6 @@ ChaosCaseResult run_chaos_case(const graph::CsrGraph& g,
                         std::to_string(opt.detector.deadline_seconds) +
                         " retries=" + std::to_string(opt.detector.max_retries)
                   : "");
-#ifdef SP_OBS
   // Own the flight recorder for the whole case: scalapart reuses the
   // installed recorder, dumps it on its own abnormal exits (budget
   // exhaustion, total failure), and this harness additionally dumps on
@@ -63,7 +62,6 @@ ChaosCaseResult run_chaos_case(const graph::CsrGraph& g,
   obs::flight::ScopedFlightRecording flight_scope(flight);
   flight.set_meta("chaos_case_seed", std::to_string(case_seed));
   flight.set_meta("chaos_plan", out.plan);
-#endif
   try {
     const ScalaPartResult r = scalapart_partition(g, opt);
     out.completed = true;
@@ -89,13 +87,11 @@ ChaosCaseResult run_chaos_case(const graph::CsrGraph& g,
   } catch (...) {
     out.error = "non-standard exception escaped the pipeline";
   }
-#ifdef SP_OBS
   if (!out.ok() && !flight.dumped()) {
     obs::flight::dump_abnormal(flight, opt.flight_dir,
                                "chaos contract violation: " + out.error);
   }
   out.dump_path = flight.dump_path();
-#endif
   return out;
 }
 

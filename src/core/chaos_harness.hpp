@@ -39,7 +39,7 @@ struct ChaosCaseResult {
   std::uint32_t final_active = 0;
   std::size_t failed_ranks = 0;
   /// Flight-recorder dump written for this case ("" when none: the case
-  /// passed, SP_OBS is off, or no dump directory was configured via
+  /// passed, or no dump directory was configured via
   /// ScalaPartOptions::flight_dir / SP_FLIGHT_DIR). Contract violations
   /// always attempt a dump; legal abnormal exits dump inside scalapart.
   std::string dump_path;

@@ -215,7 +215,6 @@ ScalaPartResult scalapart_run(const CsrGraph& g, const ScalaPartOptions& opt,
   eng_opt.threads = opt.threads;
   comm::BspEngine engine(eng_opt);
 
-#ifdef SP_OBS
   // Flight recorder (DESIGN.md §9): reuse an enclosing recorder when one
   // is installed (the chaos harness does this to own the dump), otherwise
   // install our own for the duration of the run. Recording only *reads*
@@ -253,9 +252,6 @@ ScalaPartResult scalapart_run(const CsrGraph& g, const ScalaPartOptions& opt,
       obs::flight::dump_abnormal(*flight, opt.flight_dir, reason);
     }
   };
-#else
-  auto flight_dump = [](const std::string&) {};
-#endif
 
   auto program = [&](comm::Comm& world0) {
     comm::Comm world = world0;

@@ -97,9 +97,9 @@ struct ScalaPartOptions {
 
   /// Flight recorder (obs::flight, DESIGN.md §9): per-rank ring capacity
   /// of the always-on black box scalapart_run installs when no recorder
-  /// is active. 0 disables it. Ignored when the build has SP_OBS off or
-  /// when an outer ScopedFlightRecording is already installed (that
-  /// recorder is reused, as the chaos harness does).
+  /// is active. 0 disables it. Ignored when an outer
+  /// ScopedFlightRecording is already installed (that recorder is reused,
+  /// as the chaos harness does).
   std::uint32_t flight_capacity = 256;
   /// Where abnormal exits dump the flight record. Empty = use the
   /// SP_FLIGHT_DIR environment variable; when that is empty too, no dump

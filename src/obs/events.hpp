@@ -40,13 +40,6 @@ struct Event {
   double comm_seconds = 0.0;
   std::uint64_t messages = 0;
   std::uint64_t bytes = 0;
-  /// Actual host time spent inside the span, seconds (kEnd only). The
-  /// wall/modeled pair is what obs::analyze uses to report real vs modeled
-  /// speedup across execution backends. Unlike every field above it is NOT
-  /// deterministic, so the serializing exporters (JSONL, Chrome trace)
-  /// deliberately omit it — their output stays bit-identical across
-  /// schedules, backends, and machines.
-  double wall_dur = 0.0;
 };
 
 }  // namespace sp::obs

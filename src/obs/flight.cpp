@@ -185,18 +185,14 @@ std::uint32_t FlightRecorder::num_strings() const {
 
 ScopedFlightRecording::ScopedFlightRecording(FlightRecorder& rec)
     : prev_(FlightRecorder::current_) {
-#ifdef SP_OBS
   comm::unsubscribe(prev_);
   comm::subscribe(&rec);
-#endif
   FlightRecorder::current_ = &rec;
 }
 
 ScopedFlightRecording::~ScopedFlightRecording() {
-#ifdef SP_OBS
   comm::unsubscribe(FlightRecorder::current_);
   comm::subscribe(prev_);
-#endif
   FlightRecorder::current_ = prev_;
 }
 

@@ -21,11 +21,7 @@
 //
 // The record stream never touches modeled clocks, partitions, or
 // fingerprints: it only *reads* rank state, so results are bit-identical
-// with the recorder on or off. With SP_OBS off the obs::Span hooks and the
-// scalapart auto-install are compiled out and ScopedFlightRecording does
-// not subscribe to the engine's event stream, so the recorder never sees
-// an event; the class itself still builds so dump files stay decodable by
-// tools/postmortem.
+// with the recorder on or off.
 #pragma once
 
 #include <chrono>
@@ -220,9 +216,9 @@ class FlightRecorder : public comm::EventSink {
   std::string dump_path_;
 };
 
-/// RAII installer: `rec` becomes FlightRecorder::current() and, with
-/// SP_OBS on, takes the previous recorder's place among the engine's
-/// subscribers for this scope; both are restored on exit (nesting works).
+/// RAII installer: `rec` becomes FlightRecorder::current() and takes the
+/// previous recorder's place among the engine's subscribers for this
+/// scope; both are restored on exit (nesting works).
 class ScopedFlightRecording {
  public:
   explicit ScopedFlightRecording(FlightRecorder& rec);

@@ -55,8 +55,6 @@ class JsonValue {
   }
 
   Kind kind() const { return kind_; }
-  bool is_object() const { return kind_ == Kind::kObject; }
-  bool is_array() const { return kind_ == Kind::kArray; }
 
   /// Object access: inserts the key (preserving insertion order) if
   /// absent. A null value silently becomes an object first, so

@@ -16,7 +16,6 @@ void Recorder::ensure_lane_(std::uint32_t rank) {
 void Recorder::span_begin(std::uint32_t rank, std::string_view name,
                           std::string_view cat, std::int32_t level, double t,
                           const comm::CostSnapshot& at) {
-  const auto wall_now = std::chrono::steady_clock::now();
   std::lock_guard<std::mutex> hold(mu_);
   ensure_lane_(rank);
   Event ev;
@@ -25,14 +24,12 @@ void Recorder::span_begin(std::uint32_t rank, std::string_view name,
   ev.cat.assign(cat);
   ev.level = level;
   ev.t = t;
-  open_[rank].push_back(
-      {at, static_cast<std::uint32_t>(lanes_[rank].size()), wall_now});
+  open_[rank].push_back({at, static_cast<std::uint32_t>(lanes_[rank].size())});
   lanes_[rank].push_back(std::move(ev));
 }
 
 void Recorder::span_end(std::uint32_t rank, double t,
                         const comm::CostSnapshot& at) {
-  const auto wall_now = std::chrono::steady_clock::now();
   std::lock_guard<std::mutex> hold(mu_);
   if (rank >= open_.size() || open_[rank].empty()) return;
   const OpenSpan open = open_[rank].back();
@@ -49,8 +46,6 @@ void Recorder::span_end(std::uint32_t rank, double t,
   ev.comm_seconds = at.comm_seconds - open.at.comm_seconds;
   ev.messages = at.messages - open.at.messages;
   ev.bytes = at.bytes_sent - open.at.bytes_sent;
-  ev.wall_dur =
-      std::chrono::duration<double>(wall_now - open.wall_begin).count();
   lanes_[rank].push_back(std::move(ev));
 }
 
@@ -107,12 +102,6 @@ void Recorder::on_detector(const comm::DetectorEvent& ev, double /*clock*/) {
                ev.suspect, 1.0);
 }
 
-std::size_t Recorder::total_events() const {
-  std::size_t n = 0;
-  for (const auto& lane : lanes_) n += lane.size();
-  return n;
-}
-
 std::size_t Recorder::open_spans() const {
   std::size_t n = 0;
   for (const auto& stack : open_) n += stack.size();
@@ -127,18 +116,14 @@ void Recorder::clear() {
 }
 
 ScopedRecording::ScopedRecording(Recorder& rec) : prev_(Recorder::current_) {
-#ifdef SP_OBS
   comm::unsubscribe(prev_);
   comm::subscribe(&rec);
-#endif
   Recorder::current_ = &rec;
 }
 
 ScopedRecording::~ScopedRecording() {
-#ifdef SP_OBS
   comm::unsubscribe(Recorder::current_);
   comm::subscribe(prev_);
-#endif
   Recorder::current_ = prev_;
 }
 

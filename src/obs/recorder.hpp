@@ -5,8 +5,7 @@
 // makes `rec` both Recorder::current() (where obs::Span and the metric
 // helpers report) and a subscriber of the engine's event stream
 // (comm/events.hpp). With no recorder installed every instrumentation site
-// is a cheap null check; with SP_OBS off the sites do not exist at all and
-// the installer does not subscribe.
+// is a cheap null check.
 //
 // Events land in per-rank lanes in program order, never interleaved
 // across ranks — which is why the serialized output is bit-identical
@@ -17,7 +16,6 @@
 // streams (and everything exported from them) match the fiber run's.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <string_view>
@@ -84,7 +82,6 @@ class Recorder : public comm::EventSink {
   const std::vector<Event>& lane(std::uint32_t rank) const {
     return lanes_[rank];
   }
-  std::size_t total_events() const;
   /// Open (unclosed) spans across all lanes — 0 once every Span
   /// destructed.
   std::size_t open_spans() const;
@@ -97,7 +94,6 @@ class Recorder : public comm::EventSink {
   struct OpenSpan {
     comm::CostSnapshot at;      // snapshot at begin
     std::uint32_t begin_index;  // index of the kBegin event in the lane
-    std::chrono::steady_clock::time_point wall_begin;
   };
 
   void ensure_lane_(std::uint32_t rank);
@@ -113,9 +109,9 @@ class Recorder : public comm::EventSink {
   MetricsRegistry metrics_;
 };
 
-/// RAII installer: `rec` becomes Recorder::current() and, with SP_OBS on,
-/// takes the previous recorder's place among the engine's subscribers for
-/// this scope; both are restored on exit (nesting works).
+/// RAII installer: `rec` becomes Recorder::current() and takes the
+/// previous recorder's place among the engine's subscribers for this
+/// scope; both are restored on exit (nesting works).
 class ScopedRecording {
  public:
   explicit ScopedRecording(Recorder& rec);

@@ -1,8 +1,7 @@
 // obs::Span — RAII span tracing on the modeled clock — and the one-line
-// metric helpers. The entire surface compiles away when SP_OBS is off:
-// every function body is empty, so call sites cost nothing and partitions
-// are byte-identical in both build modes (observation never charges the
-// virtual clock either way).
+// metric helpers. Every site is a null check while no recorder is
+// installed, and observation never charges the virtual clock, so
+// partitions are byte-identical with a recorder installed or not.
 //
 // Usage (comm is any Comm-like object: world or a split sub-communicator):
 //
@@ -38,8 +37,6 @@ concept Observable = requires(const T& c) {
   { c.world_rank() } -> std::convertible_to<std::uint32_t>;
   { c.clock() } -> std::convertible_to<double>;
 };
-
-#ifdef SP_OBS
 
 /// True when a Recorder is installed — use to gate instrumentation whose
 /// *inputs* cost something to compute (e.g. building a per-level metric
@@ -130,35 +127,5 @@ inline void observe(std::string_view name, double v) {
     r->metrics().observe(name, MetricsRegistry::kHostLane, v);
   }
 }
-
-#else  // !SP_OBS — the whole surface is a no-op the optimizer deletes.
-
-constexpr bool active() { return false; }
-
-template <Observable CommT>
-class Span {
- public:
-  Span(CommT&, std::string_view, std::string_view = "span",
-       std::int32_t = -1) {}
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-};
-
-template <Observable CommT>
-inline void mark(CommT&, std::string_view, std::string_view = "mark") {}
-
-template <Observable CommT>
-inline void count(CommT&, std::string_view, double = 1.0) {}
-inline void count(std::string_view, double = 1.0) {}
-
-template <Observable CommT>
-inline void gauge(CommT&, std::string_view, double) {}
-inline void gauge(std::string_view, double) {}
-
-template <Observable CommT>
-inline void observe(CommT&, std::string_view, double) {}
-inline void observe(std::string_view, double) {}
-
-#endif  // SP_OBS
 
 }  // namespace sp::obs

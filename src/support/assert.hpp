@@ -4,8 +4,7 @@
 // this library rely on structural invariants (CSR symmetry, matching
 // validity, balance constraints) whose violation would silently corrupt
 // results, so we prefer a crisp diagnostic over speed on the handful of
-// checks that survive into hot paths. SP_DEBUG_ASSERT compiles away unless
-// SP_ENABLE_DEBUG_ASSERTS is defined.
+// checks that survive into hot paths.
 #pragma once
 
 #include <cstdio>
@@ -31,11 +30,3 @@ namespace sp {
   do {                                                                \
     if (!(expr)) ::sp::assert_fail(#expr, __FILE__, __LINE__, (msg)); \
   } while (0)
-
-#ifdef SP_ENABLE_DEBUG_ASSERTS
-#define SP_DEBUG_ASSERT(expr) SP_ASSERT(expr)
-#else
-#define SP_DEBUG_ASSERT(expr) \
-  do {                        \
-  } while (0)
-#endif

@@ -340,11 +340,8 @@ TEST(FlightOverhead, AppendStaysCheap) {
 }
 
 // ---------------------------------------------------------------------------
-// Pipeline integration (needs SP_OBS: the span hooks, and the installer
-// subscribing the recorder to the engine's event stream)
+// Pipeline integration
 // ---------------------------------------------------------------------------
-
-#ifdef SP_OBS
 
 TEST(FlightPipeline, RecorderDoesNotPerturbPartitionOrFingerprint) {
   auto g = graph::gen::delaunay(1400, 11).graph;
@@ -427,8 +424,6 @@ TEST(FlightPipeline, CrashAtP16LeavesDecodableDumpFiber) {
 TEST(FlightPipeline, CrashAtP16LeavesDecodableDumpThreads) {
   crash_dump_case(exec::Backend::kThreads);
 }
-
-#endif  // SP_OBS
 
 // ---------------------------------------------------------------------------
 // Parked-wall accounting (threads backend profiler plumbing)

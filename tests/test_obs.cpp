@@ -12,6 +12,7 @@
 #include <set>
 
 #include "core/scalapart.hpp"
+#include "exec/executor.hpp"
 #include "graph/generators.hpp"
 #include "obs/export.hpp"
 #include "obs/json.hpp"
@@ -146,8 +147,6 @@ TEST(ObsRecorder, ValidatorFlagsImbalancedLanes) {
   ASSERT_EQ(violations.size(), 1u);
   EXPECT_NE(violations[0].find("left open"), std::string::npos);
 }
-
-#ifdef SP_OBS
 
 // ---------------------------------------------------------------------------
 // End-to-end: instrumented ScalaPart runs
@@ -292,20 +291,38 @@ TEST(ObsPipeline, SixteenRankLanesAndNestedSpans) {
   EXPECT_NE(summary.find(rep.critical_stage), std::string::npos);
 }
 
+// A run with no observer at all (no Recorder, flight recorder disabled)
+// and a run under a Recorder plus the flight recorder scalapart installs
+// for itself compute the same partition, clocks and trace fingerprint on
+// every backend.
 TEST(ObsPipeline, RecordingDoesNotPerturbThePartition) {
   auto g = graph::gen::delaunay(1400, 11).graph;
-  auto opt = base_options(8);
-  auto bare = core::scalapart_partition(g, opt);
-  Recorder rec;
-  core::ScalaPartResult traced;
-  {
-    ScopedRecording on(rec);
-    traced = core::scalapart_partition(g, opt);
+  for (const exec::Backend backend :
+       {exec::Backend::kFiber, exec::Backend::kThreads,
+        exec::Backend::kProcess}) {
+    SCOPED_TRACE(exec::backend_name(backend));
+    auto opt = base_options(8);
+    opt.backend = backend;
+    auto bare_opt = opt;
+    bare_opt.flight_capacity = 0;
+    ASSERT_EQ(Recorder::current(), nullptr);
+    ASSERT_EQ(flight::FlightRecorder::current(), nullptr);
+    auto bare = core::scalapart_partition(g, bare_opt);
+    Recorder rec;
+    core::ScalaPartResult traced;
+    {
+      ScopedRecording on(rec);
+      traced = core::scalapart_partition(g, opt);
+    }
+    ASSERT_GT(opt.flight_capacity, 0u);
+    ASSERT_GT(rec.num_lanes(), 0u);
+    EXPECT_FALSE(rec.lane(0).empty());
+    EXPECT_EQ(bare.part.side, traced.part.side);
+    EXPECT_EQ(bare.report.cut, traced.report.cut);
+    EXPECT_EQ(bare.modeled_seconds, traced.modeled_seconds);
+    EXPECT_EQ(bare.stats.clocks, traced.stats.clocks);
+    EXPECT_EQ(bare.stats.fingerprint(), traced.stats.fingerprint());
   }
-  EXPECT_EQ(bare.part.side, traced.part.side);
-  EXPECT_EQ(bare.report.cut, traced.report.cut);
-  EXPECT_DOUBLE_EQ(bare.modeled_seconds, traced.modeled_seconds);
-  EXPECT_EQ(bare.stats.fingerprint(), traced.stats.fingerprint());
 }
 
 TEST(ObsPipeline, FaultedRunKeepsLanesBalanced) {
@@ -344,8 +361,6 @@ TEST(ObsPipeline, FaultedRunKeepsLanesBalanced) {
   const std::string json = rep.to_json().dump();
   EXPECT_NE(json.find("\"failed_ranks\":[1]"), std::string::npos);
 }
-
-#endif  // SP_OBS
 
 }  // namespace
 }  // namespace sp::obs

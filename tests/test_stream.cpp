@@ -515,7 +515,6 @@ TEST(ChunkPool, ReusesReleasedChunks) {
   EXPECT_EQ(stats.hits, 1u);
 }
 
-#ifdef SP_OBS
 // The per-chunk obs spans ride a deterministic item-count clock, so the
 // recorded lane — names, levels, timestamps, everything the serializing
 // exporters emit — is bit-identical across pipeline worker counts, same
@@ -550,7 +549,6 @@ TEST(StreamPipeline, ObsSpansAreIdenticalAcrossWorkerCounts) {
   EXPECT_EQ(one.second.at("stream/edges"), eight.second.at("stream/edges"));
   EXPECT_EQ(one.second.at("stream/items"), eight.second.at("stream/items"));
 }
-#endif  // SP_OBS
 
 // Chunk reuse actually happens end-to-end in a pipeline run.
 TEST(StreamPipeline, SteadyStateReusesChunkBuffers) {

@@ -79,7 +79,6 @@ int main(int argc, char** argv) {
   };
 
   if (kill_mode) {
-#ifdef SP_OBS
     core::ScalaPartOptions opt = base;
     opt.recover_on_failure = false;
     opt.faults.kill_in_stage(kill_rank, kill_stage);
@@ -107,12 +106,6 @@ int main(int argc, char** argv) {
     }
     std::printf("  dump: %s\n", flight.dump_path().c_str());
     return 0;
-#else
-    std::fprintf(stderr,
-                 "chaos_fuzz: --kill-rank needs an SP_OBS build (the flight "
-                 "recorder is compiled out)\n");
-    return 2;
-#endif
   }
 
   if (replay) {

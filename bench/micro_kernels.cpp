@@ -1,12 +1,14 @@
 // Microbenchmarks (google-benchmark) for the library's kernels: matching,
 // contraction, FM refinement, quadtree build + force pass, centerpoint,
-// Delaunay triangulation, cut evaluation, BSP collectives.
+// Delaunay triangulation, cut evaluation, BSP collectives (fiber and
+// threads backends).
 #include <benchmark/benchmark.h>
 
 #include "coarsen/contract.hpp"
 #include "coarsen/matching.hpp"
 #include "comm/engine.hpp"
 #include "embed/force_model.hpp"
+#include "exec/executor.hpp"
 #include "geometry/delaunay.hpp"
 #include "geometry/quadtree.hpp"
 #include "geometry/sphere.hpp"
@@ -161,6 +163,33 @@ void BM_BspAllReduce(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 16 * state.range(0));
 }
 BENCHMARK(BM_BspAllReduce)->Arg(16)->Arg(256);
+
+// The same collective loop on the threads backend, with (P, T) as the
+// arguments: each allreduce parks P-1 rank threads and wakes them again,
+// so this prices the executor's rendezvous. The ranks' CPU is spent on
+// their own threads, which the default timer (the joining main thread's
+// CPU) does not see, hence the process CPU clock and real time.
+void BM_BspAllReduceThreads(benchmark::State& state) {
+  comm::BspEngine::Options opt;
+  opt.nranks = static_cast<std::uint32_t>(state.range(0));
+  opt.backend = exec::Backend::kThreads;
+  opt.threads = static_cast<std::uint32_t>(state.range(1));
+  comm::BspEngine engine(opt);
+  for (auto _ : state) {
+    auto stats = engine.run([](comm::Comm& c) {
+      for (int i = 0; i < 16; ++i) {
+        benchmark::DoNotOptimize(c.allreduce<double>(1.0, comm::ReduceOp::kSum));
+      }
+    });
+    benchmark::DoNotOptimize(stats.makespan());
+  }
+  state.SetItemsProcessed(state.iterations() * 16 * state.range(0));
+}
+BENCHMARK(BM_BspAllReduceThreads)
+    ->Args({16, 4})
+    ->Args({64, 4})
+    ->MeasureProcessCPUTime()
+    ->UseRealTime();
 
 // Flight-recorder overhead: the same collective loop as BM_BspAllReduce
 // with a FlightRecorder installed, so comparing the two measures the

@@ -21,13 +21,15 @@
 //
 //   kThreads  one OS thread per rank, throttled to T runnable ranks
 //             (ExecOptions::threads; 0 = hw_concurrency). The engine
-//             lock is a real mutex, block_until() waits on a condvar and
-//             releases its run slot while parked, so T slots always go to
-//             ranks that can run. Results are bit-identical to the fiber
-//             backend because all rendezvous combining happens in fixed
-//             group-rank order under the engine lock — thread
-//             interleaving can only change *when* state mutates, never
-//             the order contributions are folded in.
+//             lock is a real mutex. block_until() hands the rank's run
+//             slot to the head of a FIFO run queue and sleeps on the
+//             rank's own condvar; notify() signals only ranks whose
+//             predicate now holds, each once it owns a slot, so T slots
+//             always go to ranks that can run. Results are bit-identical
+//             to the fiber backend because all rendezvous combining
+//             happens in fixed group-rank order under the engine lock —
+//             thread interleaving can only change *when* state mutates,
+//             never the order contributions are folded in.
 //
 //   kProcess  ranks 1..R-1 are forked OS processes talking to the parent
 //             over Unix-domain socket pairs (DESIGN.md §11); the engine
@@ -104,9 +106,12 @@ class Executor {
   /// (the executor stores a pointer, no copy).
   virtual void block_until(std::uint32_t rank, const ReadyFn& ready) = 0;
 
-  /// Wakes parked ranks to re-evaluate their predicates. Call with the
-  /// engine lock held after a mutation that can complete a rendezvous
-  /// (last arrival, poisoning).
+  /// Re-evaluates parked ranks' predicates after a mutation that can
+  /// complete a rendezvous (last arrival, poisoning); call it with the
+  /// engine lock held. The threads backend makes runnable exactly the
+  /// ranks whose predicate now holds and leaves the rest asleep, so a
+  /// mutation that flips a predicate must be followed by notify(). The
+  /// fiber sweep re-evaluates predicates itself and ignores the call.
   virtual void notify() = 0;
 
   /// Engine-wide critical section. No-op for kFiber.

@@ -1,25 +1,32 @@
 // The multithreaded backend: one OS thread per rank, throttled so at most
-// T ranks are runnable at once (T = ExecOptions::threads, default
-// hw_concurrency). A rank that parks in block_until releases its run slot
-// before sleeping and re-acquires one after its predicate holds, so the T
-// slots always go to ranks that can actually run — the throttle can never
-// deadlock the rendezvous protocol.
+// T ranks run at once (T = ExecOptions::threads, default hw_concurrency).
 //
-// One mutex (the engine lock) guards all cross-rank rendezvous state; a
-// single condvar carries all three wait conditions (predicate flips, free
-// run slots, abort). That is deliberately coarse: the engine's critical
-// sections are short (arrival bookkeeping and payload splicing), while
-// all real work — the partitioner's compute between collectives — runs
-// outside the lock, in parallel.
+// Wakes are targeted: each rank sleeps on its own condvar and is signalled
+// only once it can run — its park predicate holds and it owns a run slot.
+// notify() evaluates the parked ranks' predicates and makes runnable only
+// the ranks whose predicate now holds. Each such rank takes a free run slot
+// (one signal) or joins a FIFO run queue, and a rank that parks or finishes
+// hands its slot straight to the head of that queue. So the T slots always
+// go to ranks that can run — the throttle can never deadlock the rendezvous
+// protocol — and no rank wakes only to find its predicate false or every
+// slot taken.
+//
+// One mutex (the engine lock) guards all cross-rank rendezvous state and
+// the bookkeeping here. Its critical sections are short (arrival
+// bookkeeping and payload splicing), while all real work — the
+// partitioner's compute between collectives — runs outside the lock, in
+// parallel.
 //
 // Stall detection mirrors the fiber sweep: when every unfinished rank is
-// parked on a false predicate, no predicate can ever flip (only running
-// ranks mutate rendezvous state), so the run has stalled. The last rank
-// to park (or finish) detects this, obtains the error to surface from the
-// stall handler, and aborts the run; every parked rank unwinds with
-// RunAborted so the executor can join its threads.
+// parked, the last rank to park (or finish) evaluates their predicates and
+// makes runnable any that holds. If none does, no predicate can ever flip
+// (only running ranks mutate rendezvous state), so the run has stalled:
+// that rank obtains the error to surface from the stall handler and aborts
+// the run. Every queued and parked rank wakes, and the parked ones unwind
+// with RunAborted so the executor can join their threads.
 #include <chrono>
 #include <condition_variable>
+#include <deque>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -41,12 +48,13 @@ class ThreadExecutor final : public Executor {
   void run(std::uint32_t nranks, const RankBody& body) override {
     {
       std::lock_guard<std::mutex> l(mu_);
-      preds_.assign(nranks, nullptr);
+      ranks_ = std::vector<RankWait>(nranks);
       parked_s_.assign(nranks, 0.0);
+      run_queue_.clear();
       aborting_ = false;
       run_error_ = nullptr;
       active_ = nranks;
-      sleeping_ = 0;
+      parked_ = 0;
       slots_in_use_ = 0;
     }
     std::vector<std::thread> threads;
@@ -59,51 +67,42 @@ class ThreadExecutor final : public Executor {
   }
 
   void block_until(std::uint32_t rank, const ReadyFn& ready) override {
-    // The caller holds mu_ via lock(); adopt it for the waits and hand it
+    // The caller holds mu_ via lock(); adopt it for the wait and hand it
     // back (still held) on every exit path, including the throw — the
     // caller's ExecLock releases it during unwinding.
     if (ready()) return;
     std::unique_lock<std::mutex> l(mu_, std::adopt_lock);
     // Measured rendezvous wait: wall time from park to return (including
-    // the run-slot wait — both are time the rank was not computing).
+    // the run-queue wait — both are time the rank was not computing).
     // Reported to the obs profiler via parked_wall_seconds(); never
     // consumed by the engine or the modeled clocks.
     // sp-lint-allow(wall-clock): reported diagnostic, never consumed
     const auto park_begin = std::chrono::steady_clock::now();
-    preds_[rank] = &ready;
+    RankWait& me = ranks_[rank];
+    me.pred = &ready;
+    ++parked_;
     release_slot_();
-    ++sleeping_;
-    while (true) {
-      if (aborting_) {
-        --sleeping_;
-        preds_[rank] = nullptr;
-        // Re-take slot accounting so the thread epilogue's release
-        // balances; the throttle no longer matters mid-abort.
-        ++slots_in_use_;
-        charge_park_(rank, park_begin);
-        l.release();
-        throw RunAborted{};
-      }
-      if (ready()) break;
-      maybe_stall_();
-      if (aborting_) continue;  // loop back into the abort branch
-      cv_.wait(l);
+    maybe_stall_();
+    await_slot_(l, me);
+    // Still parked after the wait means the run aborted before the
+    // predicate held.
+    const bool unwind = me.pred != nullptr;
+    if (unwind) {
+      me.pred = nullptr;
+      --parked_;
     }
-    --sleeping_;
-    preds_[rank] = nullptr;
-    while (slots_in_use_ >= slots_ && !aborting_) cv_.wait(l);
-    ++slots_in_use_;  // on abort: oversubscribe, the next park unwinds
     charge_park_(rank, park_begin);
     l.release();
+    if (unwind) throw RunAborted{};
   }
 
   void notify() override {
-    // Callers hold the engine lock (mu_), so sleeping_ is stable here.
-    // With nobody parked in block_until the broadcast would be pure
-    // syscall overhead — threads waiting for a run slot are woken by
-    // release_slot_, never by notify(). Exchange-heavy programs call
-    // notify() once per rendezvous completion, so the skip is hot.
-    if (sleeping_ != 0) cv_.notify_all();
+    // Callers hold the engine lock (mu_), so parked_ is stable here.
+    // Exchange-heavy programs call notify() once per rendezvous
+    // completion, so the skip with nobody parked is hot. Mid-abort the
+    // parked ranks must unwind, not run.
+    if (parked_ == 0 || aborting_) return;
+    wake_ready_();
   }
 
   void lock() override { mu_.lock(); }
@@ -122,11 +121,18 @@ class ThreadExecutor final : public Executor {
   }
 
  private:
+  /// One rank's wait state, guarded by mu_.
+  struct RankWait {
+    std::condition_variable cv;
+    const ReadyFn* pred = nullptr;  // set while parked on a false predicate
+    bool granted = false;           // handed a run slot, not yet awake
+  };
+
   void rank_thread_(const RankBody& body, std::uint32_t rank) {
     {
       std::unique_lock<std::mutex> l(mu_);
-      while (slots_in_use_ >= slots_ && !aborting_) cv_.wait(l);
-      ++slots_in_use_;
+      make_runnable_(rank);
+      await_slot_(l, ranks_[rank]);
     }
     body(rank);  // the engine's rank wrapper lets nothing escape
     {
@@ -136,14 +142,66 @@ class ThreadExecutor final : public Executor {
       // A finishing rank can strand its peers (e.g. it threw out of a
       // collective its group is still parked in) — re-check for stall.
       maybe_stall_();
-      cv_.notify_all();
     }
   }
 
+  /// With mu_ held (through `l`): sleeps until this rank is handed a run
+  /// slot. On abort it takes one regardless — oversubscribing, since the
+  /// throttle no longer matters — so the thread epilogue's release
+  /// balances.
+  void await_slot_(std::unique_lock<std::mutex>& l, RankWait& me) {
+    while (!me.granted && !aborting_) me.cv.wait(l);
+    if (me.granted) {
+      me.granted = false;
+    } else {
+      ++slots_in_use_;
+    }
+  }
+
+  /// With mu_ held: gives rank `r` a run slot and its one signal.
+  void grant_(std::uint32_t r) {
+    ranks_[r].granted = true;
+    ranks_[r].cv.notify_one();
+  }
+
+  /// With mu_ held: rank `r` can run. It takes a free slot or queues for
+  /// one.
+  void make_runnable_(std::uint32_t r) {
+    if (slots_in_use_ < slots_) {
+      ++slots_in_use_;
+      grant_(r);
+    } else {
+      run_queue_.push_back(r);
+    }
+  }
+
+  /// With mu_ held: a parking or finishing rank hands its slot straight to
+  /// the head of the run queue, or frees it when nobody waits. A slot is
+  /// free only while the queue is empty.
   void release_slot_() {
     SP_ASSERT(slots_in_use_ > 0);
-    --slots_in_use_;
-    cv_.notify_all();
+    if (run_queue_.empty()) {
+      --slots_in_use_;
+      return;
+    }
+    const std::uint32_t next = run_queue_.front();
+    run_queue_.pop_front();
+    grant_(next);
+  }
+
+  /// With mu_ held: makes runnable every parked rank whose predicate
+  /// holds. Returns whether any did.
+  bool wake_ready_() {
+    bool woke = false;
+    for (std::uint32_t r = 0; r < ranks_.size(); ++r) {
+      RankWait& w = ranks_[r];
+      if (w.pred == nullptr || !(*w.pred)()) continue;
+      w.pred = nullptr;
+      --parked_;
+      make_runnable_(r);
+      woke = true;
+    }
+    return woke;
   }
 
   /// With mu_ held: folds one completed park into the rank's wait total.
@@ -156,27 +214,26 @@ class ThreadExecutor final : public Executor {
   }
 
   /// With mu_ held: declares a stall when every unfinished rank is parked
-  /// on a false predicate. Ranks waiting for a run slot never block this
-  /// (they hold no predicate and will run once a parking rank frees its
-  /// slot), so detection fires exactly when no progress is possible.
+  /// on a false predicate. Ranks queued for a run slot never block this
+  /// (they hold no predicate and will run once a parking rank hands them
+  /// its slot), so detection fires exactly when no progress is possible.
   void maybe_stall_() {
-    if (aborting_ || active_ == 0 || sleeping_ < active_) return;
-    for (const ReadyFn* p : preds_) {
-      if (p != nullptr && (*p)()) return;  // a wake is already in flight
-    }
+    if (aborting_ || active_ == 0 || parked_ < active_) return;
+    if (wake_ready_()) return;
     run_error_ = stall_ ? stall_() : nullptr;
     aborting_ = true;
-    cv_.notify_all();
+    run_queue_.clear();
+    for (RankWait& w : ranks_) w.cv.notify_one();
   }
 
   std::mutex mu_;
-  std::condition_variable cv_;
   std::uint32_t slots_ = 1;          // T: max simultaneously runnable ranks
-  std::uint32_t slots_in_use_ = 0;   // guarded by mu_
-  std::uint32_t active_ = 0;         // started and unfinished ranks
-  std::uint32_t sleeping_ = 0;       // parked in block_until
-  std::vector<const ReadyFn*> preds_;
-  std::vector<double> parked_s_;     // guarded by mu_ during the run
+  std::uint32_t slots_in_use_ = 0;   // guarded by mu_, as is all below
+  std::uint32_t active_ = 0;         // unfinished ranks
+  std::uint32_t parked_ = 0;         // ranks with a predicate set
+  std::vector<RankWait> ranks_;
+  std::deque<std::uint32_t> run_queue_;  // runnable, waiting for a slot
+  std::vector<double> parked_s_;
   bool aborting_ = false;
   std::exception_ptr run_error_;
   StallHandler stall_;

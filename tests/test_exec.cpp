@@ -9,9 +9,12 @@
 // must behave the same way too.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "comm/engine.hpp"
@@ -205,18 +208,121 @@ TEST(ExecBackend, DeadlockDetectedUnderThreads) {
                DeadlockError);
 }
 
-TEST(ExecBackend, ExceptionPropagatesUnderThreads) {
+// A stall after most ranks spent the first barrier queued for one of the
+// two run slots. Detection must still fire: a rank queued for a slot holds
+// no predicate, so it must not count as parked, and none may be left
+// waiting for a slot when the run aborts.
+TEST(ExecBackend, DeadlockDetectedWithQueuedRanks) {
   BspEngine::Options o;
-  o.nranks = 4;
+  o.nranks = 16;
   o.backend = exec::Backend::kThreads;
   o.threads = 2;
   BspEngine engine(o);
   EXPECT_THROW(engine.run([](Comm& c) {
     c.barrier();
-    if (c.rank() == 2) throw std::runtime_error("rank 2 gives up");
-    c.barrier();  // peers park here until the run aborts
+    if (c.rank() != 0) c.barrier();  // rank 0 bails out early
   }),
-               std::runtime_error);
+               DeadlockError);
+}
+
+TEST(ExecBackend, ExceptionPropagatesUnderThreads) {
+  // (P, T): a few ranks per slot, and every rank behind a single slot.
+  for (const auto& [p, t] : {std::pair{4u, 2u}, std::pair{8u, 1u}}) {
+    BspEngine::Options o;
+    o.nranks = p;
+    o.backend = exec::Backend::kThreads;
+    o.threads = t;
+    BspEngine engine(o);
+    EXPECT_THROW(engine.run([](Comm& c) {
+      c.barrier();
+      if (c.rank() == 2) throw std::runtime_error("rank 2 gives up");
+      c.barrier();  // peers park here until the run aborts
+    }),
+                 std::runtime_error)
+        << "P=" << p << " T=" << t;
+  }
+}
+
+// An Executor-level barrier. Each round every rank bumps the round's
+// arrival count under the engine lock, the arrival that completes the
+// round calls notify(), and every rank parks until the round is full.
+// The predicate counts its own evaluations; it runs under the engine
+// lock, so plain per-rank counters suffice. A rank should evaluate it
+// when it parks and once more when the round completes, not at every
+// other rank's park or wake.
+TEST(ExecBackend, ThreadsWakeOnlyRunnableRanks) {
+  constexpr std::uint32_t kRanks = 16;
+  constexpr std::uint32_t kRounds = 300;
+  for (std::uint32_t t : {2u, 4u, 16u}) {
+    exec::ExecOptions eo;
+    eo.backend = exec::Backend::kThreads;
+    eo.threads = t;
+    auto ex = exec::Executor::make(eo);
+    std::vector<std::uint32_t> arrived(kRounds, 0);
+    std::vector<std::uint32_t> worst(kRanks, 0);    // most evals in a round
+    std::vector<std::uint64_t> total(kRanks, 0);
+    ex->run(kRanks, [&](std::uint32_t rank) {
+      for (std::uint32_t round = 0; round < kRounds; ++round) {
+        exec::ExecLock lock(*ex);
+        if (++arrived[round] == kRanks) ex->notify();
+        std::uint32_t evals = 0;
+        const exec::Executor::ReadyFn ready = [&] {
+          ++evals;
+          return arrived[round] == kRanks;
+        };
+        ex->block_until(rank, ready);
+        worst[rank] = std::max(worst[rank], evals);
+        total[rank] += evals;
+      }
+    });
+    const double mean =
+        static_cast<double>(std::accumulate(total.begin(), total.end(),
+                                            std::uint64_t{0})) /
+        (kRanks * kRounds);
+    const double worst_rank_mean =
+        static_cast<double>(*std::max_element(total.begin(), total.end())) /
+        kRounds;
+    EXPECT_LE(*std::max_element(worst.begin(), worst.end()), 3u)
+        << "T=" << t << ": " << mean << " evals per rank and round, "
+        << worst_rank_mean << " for the worst rank";
+  }
+}
+
+// The throttle: between two collectives a rank holds a run slot, so no
+// more than T ranks are ever outside the engine at once, however the
+// slots are handed over. The sums must still equal the fiber run's.
+TEST(ExecBackend, ThreadsNeverRunMoreThanTRanks) {
+  constexpr std::uint32_t kRanks = 16;
+  constexpr std::int64_t kReductions = 100;
+  std::atomic<std::uint32_t> in_flight{0};
+  std::atomic<std::uint32_t> most{0};
+  auto run = [&](exec::Backend backend, std::uint32_t t) {
+    BspEngine::Options o;
+    o.nranks = kRanks;
+    o.backend = backend;
+    o.threads = t;
+    BspEngine engine(o);
+    std::vector<std::int64_t> sums(kRanks, 0);
+    engine.run([&](Comm& c) {
+      const auto r = static_cast<std::int64_t>(c.rank());
+      for (std::int64_t i = 0; i < kReductions; ++i) {
+        if (i > 0) in_flight.fetch_sub(1);
+        sums[c.rank()] += c.allreduce(r * i + 1, comm::ReduceOp::kSum);
+        const std::uint32_t now = in_flight.fetch_add(1) + 1;
+        std::uint32_t seen = most.load();
+        while (now > seen && !most.compare_exchange_weak(seen, now)) {
+        }
+      }
+      in_flight.fetch_sub(1);
+    });
+    return sums;
+  };
+  const std::vector<std::int64_t> fiber = run(exec::Backend::kFiber, 0);
+  for (std::uint32_t t : {1u, 2u, 3u}) {
+    most = 0;
+    EXPECT_EQ(run(exec::Backend::kThreads, t), fiber) << "T=" << t;
+    EXPECT_LE(most.load(), t) << "T=" << t;
+  }
 }
 
 TEST(ExecBackend, CrashPropagatesToSurvivorsUnderThreads) {

@@ -1,8 +1,10 @@
 // Microbenchmarks (google-benchmark) for the library's kernels: matching,
 // contraction, FM refinement, quadtree build + force pass, centerpoint,
-// Delaunay triangulation, cut evaluation, BSP collectives (fiber and
-// threads backends).
+// Delaunay triangulation, cut evaluation, the sequential G7-NL cut, induced
+// subgraphs, BSP collectives (fiber and threads backends).
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
 
 #include "coarsen/contract.hpp"
 #include "coarsen/matching.hpp"
@@ -15,6 +17,7 @@
 #include "graph/generators.hpp"
 #include "graph/partition.hpp"
 #include "obs/flight.hpp"
+#include "partition/geometric_mesh.hpp"
 #include "refine/fm.hpp"
 #include "support/random.hpp"
 
@@ -147,6 +150,40 @@ void BM_CutEvaluation(benchmark::State& state) {
                           static_cast<std::int64_t>(g.num_arcs()));
 }
 BENCHMARK(BM_CutEvaluation)->Arg(50000);
+
+// The sequential G7-NL cut of recursive k-way partitioning: five great
+// circles, each a weighted median selection and a cut count.
+void BM_GeometricMeshG7nl(benchmark::State& state) {
+  const auto& m = mesh(state.range(0));
+  const auto opt = partition::GeometricMeshOptions::g7nl();
+  for (auto _ : state) {
+    auto r = partition::geometric_mesh_partition(m.graph, m.coords, opt);
+    benchmark::DoNotOptimize(r.cut);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_GeometricMeshG7nl)->Arg(50000);
+
+// One k-way recursion step's subgraph: the vertices left of the median x,
+// in id order.
+void BM_InducedSubgraph(benchmark::State& state) {
+  const auto& m = mesh(state.range(0));
+  std::vector<double> xs(m.coords.size());
+  for (std::size_t v = 0; v < xs.size(); ++v) xs[v] = m.coords[v][0];
+  auto mid = xs.begin() + static_cast<std::ptrdiff_t>(xs.size() / 2);
+  std::nth_element(xs.begin(), mid, xs.end());
+  std::vector<graph::VertexId> half;
+  for (graph::VertexId v = 0; v < m.graph.num_vertices(); ++v) {
+    if (m.coords[v][0] < *mid) half.push_back(v);
+  }
+  for (auto _ : state) {
+    auto sub = graph::induced_subgraph(m.graph, half);
+    benchmark::DoNotOptimize(sub.num_arcs());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(half.size()));
+}
+BENCHMARK(BM_InducedSubgraph)->Arg(50000);
 
 void BM_BspAllReduce(benchmark::State& state) {
   comm::BspEngine::Options opt;

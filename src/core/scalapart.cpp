@@ -1,5 +1,4 @@
 #include "core/scalapart.hpp"
-#include <unordered_map>
 
 #include <algorithm>
 #include <filesystem>
@@ -62,24 +61,31 @@ embed::RankEmbedding embedding_from_coords(comm::Comm& world,
     VertexId id;
     double x, y;
   };
-  // Send my boundary coords to each neighbouring rank that ghosts them.
+  // Send my boundary coords to each neighbouring rank that ghosts them:
+  // one pass over the boundary appends each vertex once to the payload of
+  // every distinct rank owning one of its neighbours.
   const auto& nbr_ranks = view.neighbor_ranks();
-  std::vector<std::pair<std::uint32_t, std::vector<CoordMsg>>> out;
-  for (std::uint32_t r : nbr_ranks) {
-    std::vector<CoordMsg> payload;
-    for (VertexId local : view.boundary_locals()) {
-      VertexId global = view.to_global(local);
-      bool adj = false;
-      for (VertexId u : view.neighbors(local)) {
-        if (!view.owns(u) &&
-            graph::block_owner(u, n, world.nranks()) == r) {
-          adj = true;
-          break;
-        }
-      }
-      if (adj) payload.push_back({global, coords[global][0], coords[global][1]});
+  std::vector<std::uint32_t> slot_of(world.nranks(), 0);
+  for (std::uint32_t k = 0; k < nbr_ranks.size(); ++k) {
+    slot_of[nbr_ranks[k]] = k;
+  }
+  std::vector<std::vector<CoordMsg>> payloads(nbr_ranks.size());
+  std::vector<VertexId> last_local(nbr_ranks.size(), graph::kInvalidVertex);
+  for (VertexId local : view.boundary_locals()) {
+    const VertexId global = view.to_global(local);
+    for (VertexId u : view.neighbors(local)) {
+      if (view.owns(u)) continue;
+      const std::uint32_t k = slot_of[graph::block_owner(u, n, world.nranks())];
+      if (last_local[k] == local) continue;
+      last_local[k] = local;
+      payloads[k].push_back({global, coords[global][0], coords[global][1]});
     }
-    if (!payload.empty()) out.emplace_back(r, std::move(payload));
+  }
+  std::vector<std::pair<std::uint32_t, std::vector<CoordMsg>>> out;
+  for (std::uint32_t k = 0; k < nbr_ranks.size(); ++k) {
+    if (!payloads[k].empty()) {
+      out.emplace_back(nbr_ranks[k], std::move(payloads[k]));
+    }
   }
   auto in = world.exchange_typed(out);
   emb.ghost_ids = view.ghosts();
@@ -89,16 +95,12 @@ embed::RankEmbedding embedding_from_coords(comm::Comm& world,
     emb.ghost_owner[i] = graph::block_owner(emb.ghost_ids[i], n,
                                             world.nranks());
   }
-  std::unordered_map<VertexId, std::uint32_t> ghost_of;
-  for (std::uint32_t i = 0; i < emb.ghost_ids.size(); ++i) {
-    ghost_of[emb.ghost_ids[i]] = i;
-  }
   for (const auto& [src, payload] : in) {
     (void)src;
     for (const CoordMsg& msg : payload) {
-      auto it = ghost_of.find(msg.id);
-      if (it != ghost_of.end()) {
-        emb.ghost_pos[it->second] = geom::vec2(msg.x, msg.y);
+      const VertexId gi = view.ghost_index(msg.id);
+      if (gi != graph::kInvalidVertex) {
+        emb.ghost_pos[gi] = geom::vec2(msg.x, msg.y);
       }
     }
   }

@@ -142,23 +142,73 @@ CsrGraph induced_subgraph(const CsrGraph& g, std::span<const VertexId> vertices,
                   "duplicate vertex in induced_subgraph");
     map[vertices[i]] = static_cast<VertexId>(i);
   }
+  const auto n = static_cast<VertexId>(vertices.size());
 
-  GraphBuilder builder(static_cast<VertexId>(vertices.size()));
-  for (std::size_t i = 0; i < vertices.size(); ++i) {
-    VertexId u = vertices[i];
-    builder.set_vertex_weight(static_cast<VertexId>(i), g.vertex_weight(u));
-    auto nbrs = g.neighbors(u);
-    auto ws = g.edge_weights_of(u);
+  // Each undirected edge is taken once, from its lower new endpoint's row:
+  // row u's upper neighbours, sorted, duplicates summed.
+  std::vector<EdgeIndex> up_off(static_cast<std::size_t>(n) + 1, 0);
+  for (VertexId u = 0; u < n; ++u) {
+    EdgeIndex count = 0;
+    for (VertexId v : g.neighbors(vertices[u])) {
+      count += map[v] != kInvalidVertex && u < map[v] ? 1 : 0;
+    }
+    up_off[u + 1] = up_off[u] + count;
+  }
+  std::vector<VertexId> up_v(up_off[n]);
+  std::vector<Weight> up_w(up_off[n]);
+  std::vector<VertexId> up_len(n);
+  std::vector<EdgeIndex> xadj(static_cast<std::size_t>(n) + 1, 0);
+  for (VertexId u = 0; u < n; ++u) {
+    auto nbrs = g.neighbors(vertices[u]);
+    auto ws = g.edge_weights_of(vertices[u]);
+    VertexId* row_v = up_v.data() + up_off[u];
+    Weight* row_w = up_w.data() + up_off[u];
+    std::size_t len = 0;
     for (std::size_t k = 0; k < nbrs.size(); ++k) {
-      VertexId v_new = map[nbrs[k]];
-      // Emit each undirected edge once (from the lower new id).
-      if (v_new != kInvalidVertex && static_cast<VertexId>(i) < v_new) {
-        builder.add_edge(static_cast<VertexId>(i), v_new, ws[k]);
+      const VertexId v_new = map[nbrs[k]];
+      if (v_new == kInvalidVertex || v_new <= u) continue;
+      std::size_t j = len++;  // insertion sort: rows are short
+      for (; j > 0 && row_v[j - 1] > v_new; --j) {
+        row_v[j] = row_v[j - 1];
+        row_w[j] = row_w[j - 1];
       }
+      row_v[j] = v_new;
+      row_w[j] = ws[k];
+    }
+    std::size_t merged = 0;
+    for (std::size_t k = 0; k < len; ++k) {
+      if (merged > 0 && row_v[merged - 1] == row_v[k]) {
+        row_w[merged - 1] += row_w[k];
+      } else {
+        row_v[merged] = row_v[k];
+        row_w[merged++] = row_w[k];
+        ++xadj[row_v[k] + 1];
+      }
+    }
+    up_len[u] = static_cast<VertexId>(merged);
+    xadj[u + 1] += merged;
+  }
+  for (VertexId u = 0; u < n; ++u) xadj[u + 1] += xadj[u];
+
+  // Emit both arcs of every edge in (lower, upper) order: each row lists
+  // its lower neighbours, then its upper ones, both ascending.
+  std::vector<VertexId> adjncy(xadj[n]);
+  std::vector<Weight> eweights(xadj[n]);
+  std::vector<EdgeIndex> cursor(xadj.begin(), xadj.end() - 1);
+  std::vector<Weight> vweights(n);
+  for (VertexId u = 0; u < n; ++u) {
+    vweights[u] = g.vertex_weight(vertices[u]);
+    for (EdgeIndex e = up_off[u]; e < up_off[u] + up_len[u]; ++e) {
+      const VertexId v = up_v[e];
+      adjncy[cursor[u]] = v;
+      eweights[cursor[u]++] = up_w[e];
+      adjncy[cursor[v]] = u;
+      eweights[cursor[v]++] = up_w[e];
     }
   }
   if (old_to_new) *old_to_new = std::move(map);
-  return builder.build();
+  return CsrGraph(std::move(xadj), std::move(adjncy), std::move(vweights),
+                  std::move(eweights));
 }
 
 }  // namespace sp::graph

@@ -108,9 +108,14 @@ class GraphBuilder {
 CsrGraph from_edges(VertexId num_vertices,
                     std::span<const std::pair<VertexId, VertexId>> edges);
 
-/// Extract the vertex-induced subgraph. `vertices` need not be sorted;
-/// `old_to_new` (optional out) receives the renumbering map, kInvalidVertex
-/// for vertices outside the subgraph.
+/// Extract the vertex-induced subgraph; new vertex i is vertices[i].
+/// `vertices` need not be sorted; `old_to_new` (optional out) receives the
+/// renumbering map, kInvalidVertex for vertices outside the subgraph.
+/// The result has exactly the arrays a GraphBuilder fed, for every new u,
+/// add_edge(u, v, w) for each arc of row vertices[u] whose new endpoint v
+/// is above u: each edge comes from its lower endpoint's row with that
+/// row's weight, duplicates are summed, and every row is sorted. Built in
+/// O(M) plus a sort of each row, without GraphBuilder's edge-list sort.
 CsrGraph induced_subgraph(const CsrGraph& g, std::span<const VertexId> vertices,
                           std::vector<VertexId>* old_to_new = nullptr);
 

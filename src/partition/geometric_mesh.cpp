@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
+#include <stdexcept>
 
 #include "geometry/sphere.hpp"
 #include "support/assert.hpp"
@@ -18,55 +18,86 @@ using graph::CsrGraph;
 using graph::VertexId;
 using graph::Weight;
 
-namespace {
+namespace detail {
 
-/// Weighted quantile threshold of scalar values s: the t such that
-/// vertices with s <= t carry ~fraction of the total weight (0.5 = the
-/// median/bisection). Ties are pre-broken by a tiny deterministic
-/// per-vertex perturbation applied by the caller.
-double weighted_quantile(std::span<const double> s, std::span<const Weight> w,
-                         double fraction) {
-  std::vector<std::uint32_t> idx(s.size());
-  std::iota(idx.begin(), idx.end(), 0u);
-  std::sort(idx.begin(), idx.end(),
-            [&](std::uint32_t a, std::uint32_t b) { return s[a] < s[b]; });
-  Weight total = 0;
-  for (std::uint32_t i : idx) total += w.empty() ? 1 : w[i];
-  double target = fraction * static_cast<double>(total);
-  double acc = 0;
-  for (std::uint32_t i : idx) {
-    acc += static_cast<double>(w.empty() ? 1 : w[i]);
-    if (acc >= target) return s[i];
-  }
-  return s.empty() ? 0.0 : s[idx.back()];
-}
-
-/// Cut size of the partition induced by sign(s - threshold).
-Weight cut_of_split(const CsrGraph& g, std::span<const double> s,
-                    double threshold) {
-  Weight cut2 = 0;
-  for (VertexId u = 0; u < g.num_vertices(); ++u) {
-    bool side_u = s[u] > threshold;
-    auto nbrs = g.neighbors(u);
-    auto ws = g.edge_weights_of(u);
-    for (std::size_t k = 0; k < nbrs.size(); ++k) {
-      if (side_u != (s[nbrs[k]] > threshold)) cut2 += ws[k];
-    }
-  }
-  return cut2 / 2;
-}
-
-/// Deterministic tiny tie-breaking noise (grids put many vertices on the
-/// same line; without this the median split can be wildly unbalanced).
 double jitter(VertexId v) {
   return (static_cast<double>(hash64(v) >> 11) * 0x1.0p-53 - 0.5) * 1e-9;
 }
 
-}  // namespace
+double weighted_quantile(std::span<const double> s, std::span<const Weight> w,
+                         double fraction) {
+  if (s.empty()) return 0.0;
+  struct Item {
+    double s;
+    Weight w;
+  };
+  std::vector<Item> items(s.size());
+  Weight total = 0;
+  double largest = s[0];
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    items[i] = {s[i], w.empty() ? Weight{1} : w[i]};
+    total += items[i].w;
+    largest = std::max(largest, s[i]);
+  }
+  const double target = fraction * static_cast<double>(total);
+  if (!(static_cast<double>(total) >= target)) return largest;
+
+  // Three-way selection on [lo, hi). Invariants: `below` is the weight of
+  // the values left of the range, below + W(range) reaches the target, and
+  // no value left of the range does.
+  std::size_t lo = 0;
+  std::size_t hi = items.size();
+  Weight below = 0;
+  for (;;) {
+    const double a = items[lo].s;
+    const double b = items[lo + (hi - lo) / 2].s;
+    const double c = items[hi - 1].s;
+    const double pivot = std::max(std::min(a, b), std::min(std::max(a, b), c));
+    Weight w_lt = 0;
+    Weight w_eq = 0;
+    std::size_t n_lt = 0;
+    for (std::size_t i = lo; i < hi; ++i) {
+      const bool lt = items[i].s < pivot;
+      const bool eq = items[i].s == pivot;
+      w_lt += lt ? items[i].w : 0;
+      w_eq += eq ? items[i].w : 0;
+      n_lt += lt ? 1 : 0;
+    }
+    if (n_lt > 0 && static_cast<double>(below + w_lt) >= target) {
+      std::size_t k = lo;  // keep the values below the pivot
+      for (std::size_t i = lo; i < hi; ++i) {
+        items[k] = items[i];
+        k += items[i].s < pivot ? 1 : 0;
+      }
+      hi = k;
+    } else if (static_cast<double>(below + w_lt + w_eq) >= target) {
+      return pivot;
+    } else {
+      below += w_lt + w_eq;
+      std::size_t k = lo;  // keep the values above the pivot
+      for (std::size_t i = lo; i < hi; ++i) {
+        items[k] = items[i];
+        k += items[i].s > pivot ? 1 : 0;
+      }
+      hi = k;
+    }
+  }
+}
+
+}  // namespace detail
 
 GeometricMeshResult geometric_mesh_partition(const CsrGraph& g,
                                              std::span<const Vec2> coords,
                                              const GeometricMeshOptions& opt) {
+  const std::uint64_t tries =
+      std::uint64_t{opt.circles_per_centerpoint} * opt.num_centerpoints +
+      opt.num_lines + (opt.axis_cut ? 1 : 0);
+  if (tries == 0) {
+    throw std::invalid_argument(
+        "geometric_mesh_partition: no separator to try "
+        "(circles_per_centerpoint * num_centerpoints + num_lines + axis_cut "
+        "is 0)");
+  }
   const VertexId n = g.num_vertices();
   SP_ASSERT(coords.size() == n);
   GeometricMeshResult best;
@@ -95,19 +126,23 @@ GeometricMeshResult geometric_mesh_partition(const CsrGraph& g,
   }
 
   auto weights = std::span<const Weight>(g.vertex_weights());
+  std::vector<double> jitter(n);
+  for (VertexId v = 0; v < n; ++v) jitter[v] = detail::jitter(v);
   std::vector<double> s(n);
+  Bipartition trial(n);
 
   auto consider = [&](std::span<const double> values, bool is_line) {
-    double threshold = weighted_quantile(values, weights, opt.split_fraction);
-    Weight cut = cut_of_split(g, values, threshold);
+    double threshold =
+        detail::weighted_quantile(values, weights, opt.split_fraction);
+    for (VertexId v = 0; v < n; ++v) trial[v] = values[v] > threshold ? 1 : 0;
+    Weight cut = graph::cut_size(g, trial);
     ++best.tries;
     if (cut < best.cut) {
       best.cut = cut;
       best.winner_is_line = is_line;
-      best.part = Bipartition(n);
-      best.separator_distance.assign(n, 0.0);
+      best.part = trial;
+      best.separator_distance.resize(n);
       for (VertexId v = 0; v < n; ++v) {
-        best.part[v] = values[v] > threshold ? 1 : 0;
         best.separator_distance[v] = values[v] - threshold;
       }
     }
@@ -126,7 +161,7 @@ GeometricMeshResult geometric_mesh_partition(const CsrGraph& g,
 
     for (std::uint32_t t = 0; t < opt.circles_per_centerpoint; ++t) {
       Vec3 u = geom::random_unit_vector(rng);
-      for (VertexId v = 0; v < n; ++v) s[v] = u.dot(mapped[v]) + jitter(v);
+      for (VertexId v = 0; v < n; ++v) s[v] = u.dot(mapped[v]) + jitter[v];
       consider(s, /*is_line=*/false);
     }
   }
@@ -135,13 +170,13 @@ GeometricMeshResult geometric_mesh_partition(const CsrGraph& g,
   for (std::uint32_t t = 0; t < opt.num_lines; ++t) {
     double angle = rng.uniform(0.0, 2.0 * 3.14159265358979323846);
     Vec2 dir = geom::vec2(std::cos(angle), std::sin(angle));
-    for (VertexId v = 0; v < n; ++v) s[v] = dir.dot(coords[v]) + jitter(v);
+    for (VertexId v = 0; v < n; ++v) s[v] = dir.dot(coords[v]) + jitter[v];
     consider(s, /*is_line=*/true);
   }
 
   // Optional axis-aligned median cut (cheap extra candidate in G30).
   if (opt.axis_cut) {
-    for (VertexId v = 0; v < n; ++v) s[v] = coords[v][0] + jitter(v);
+    for (VertexId v = 0; v < n; ++v) s[v] = coords[v][0] + jitter[v];
     consider(s, /*is_line=*/true);
   }
 

@@ -75,6 +75,8 @@ struct GeometricMeshResult {
   std::uint32_t tries = 0;
 };
 
+/// Throws std::invalid_argument when `opt` allows no try at all
+/// (circles_per_centerpoint * num_centerpoints + num_lines + axis_cut == 0).
 GeometricMeshResult geometric_mesh_partition(const graph::CsrGraph& g,
                                              std::span<const geom::Vec2> coords,
                                              const GeometricMeshOptions& opt);
@@ -84,5 +86,24 @@ PartitionResult gmt_partition(const graph::CsrGraph& g,
                               std::span<const geom::Vec2> coords,
                               const GeometricMeshOptions& opt,
                               const std::string& method_name);
+
+namespace detail {
+
+/// Deterministic tiny tie-breaking noise in [-5e-10, 5e-10) added to every
+/// separator value by the sequential and the parallel GMT (grids put many
+/// vertices on the same line; without it the median split can be wildly
+/// unbalanced).
+double jitter(graph::VertexId v);
+
+/// Weighted quantile threshold of the values s: the smallest value t with
+/// W(s <= t) >= fraction * W(all), where W sums the weights `w` (empty
+/// means unit weights; weights must be nonnegative). The largest value if
+/// no t qualifies, 0 for empty input. Found by expected-linear selection;
+/// the weight sums are integers compared as doubles, so the result equals
+/// a scan of the sorted values.
+double weighted_quantile(std::span<const double> s,
+                         std::span<const graph::Weight> w, double fraction);
+
+}  // namespace detail
 
 }  // namespace sp::partition

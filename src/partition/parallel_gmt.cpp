@@ -20,8 +20,54 @@ using graph::Weight;
 
 namespace {
 
-double jitter_of(VertexId v) {
-  return (static_cast<double>(hash64(v) >> 11) * 0x1.0p-53 - 0.5) * 1e-9;
+/// The owned vertices' arcs, each resolved once to an index into the
+/// combined (owned, ghost) order: r < owned.size() names owned vertex r,
+/// otherwise ghost r - owned.size().
+struct ResolvedArcs {
+  std::unordered_map<VertexId, std::uint32_t> local_of;
+  std::unordered_map<VertexId, std::uint32_t> ghost_of;
+  std::vector<std::size_t> off;  // owned vertex i's arcs: [off[i], off[i+1])
+  std::vector<std::uint32_t> ref;
+};
+
+ResolvedArcs resolve_arcs(const CsrGraph& g, const embed::RankEmbedding& emb) {
+  const auto n_local = static_cast<std::uint32_t>(emb.owned.size());
+  ResolvedArcs arcs;
+  arcs.local_of.reserve(n_local);
+  for (std::uint32_t i = 0; i < n_local; ++i) arcs.local_of[emb.owned[i]] = i;
+  arcs.ghost_of.reserve(emb.ghost_ids.size());
+  for (std::uint32_t i = 0; i < emb.ghost_ids.size(); ++i) {
+    arcs.ghost_of[emb.ghost_ids[i]] = i;
+  }
+  arcs.off.assign(n_local + 1, 0);
+  for (std::uint32_t i = 0; i < n_local; ++i) {
+    arcs.off[i + 1] = arcs.off[i] + g.degree(emb.owned[i]);
+  }
+  arcs.ref.resize(arcs.off[n_local]);
+  for (std::uint32_t i = 0; i < n_local; ++i) {
+    std::uint32_t* out = arcs.ref.data() + arcs.off[i];
+    for (VertexId u : g.neighbors(emb.owned[i])) {
+      auto it_local = arcs.local_of.find(u);
+      if (it_local != arcs.local_of.end()) {
+        *out++ = it_local->second;
+      } else {
+        auto it_ghost = arcs.ghost_of.find(u);
+        SP_ASSERT(it_ghost != arcs.ghost_of.end());
+        *out++ = n_local + it_ghost->second;
+      }
+    }
+  }
+  return arcs;
+}
+
+/// Side bytes of one try in the combined (owned, ghost) order.
+void sides_of_try(std::span<const double> s, std::span<const double> s_ghost,
+                  double threshold, std::vector<std::uint8_t>& side) {
+  side.resize(s.size() + s_ghost.size());
+  for (std::size_t i = 0; i < s.size(); ++i) side[i] = s[i] > threshold ? 1 : 0;
+  for (std::size_t j = 0; j < s_ghost.size(); ++j) {
+    side[s.size() + j] = s_ghost[j] > threshold ? 1 : 0;
+  }
 }
 
 /// Deterministic local sample of up to `quota` indices from [0, n).
@@ -40,6 +86,78 @@ std::vector<std::uint32_t> sample_indices(std::size_t n, std::size_t quota,
     out.push_back(static_cast<std::uint32_t>(rng.below(n)));
   }
   return out;
+}
+
+/// Exact distributed cut of a side assignment: one halo exchange of owned
+/// sides plus one reduction.
+Weight distributed_cut(comm::Comm& comm, const CsrGraph& g,
+                       const embed::RankEmbedding& emb,
+                       const ResolvedArcs& arcs,
+                       std::span<const std::uint8_t> side) {
+  const std::size_t n_local = emb.owned.size();
+  SP_ASSERT(side.size() == n_local);
+
+  // Who ghosts my vertices: owner(u) for every ghost u adjacent to owned v
+  // needs (v, side_v). Deduplicate per destination.
+  struct SideMsg {
+    VertexId id;
+    std::uint32_t side;
+  };
+  std::vector<std::vector<SideMsg>> by_dest(comm.nranks());
+  std::vector<std::uint32_t> last_sent(n_local, comm.rank());
+  for (std::size_t i = 0; i < n_local; ++i) {
+    for (std::size_t a = arcs.off[i]; a < arcs.off[i + 1]; ++a) {
+      if (arcs.ref[a] < n_local) continue;
+      std::uint32_t dest = emb.ghost_owner[arcs.ref[a] - n_local];
+      if (dest == last_sent[i]) continue;  // consecutive-dup filter
+      by_dest[dest].push_back({emb.owned[i], side[i]});
+      last_sent[i] = dest;
+    }
+  }
+  std::vector<std::pair<std::uint32_t, std::vector<SideMsg>>> out;
+  for (std::uint32_t dest = 0; dest < comm.nranks(); ++dest) {
+    if (dest == comm.rank() || by_dest[dest].empty()) continue;
+    auto& list = by_dest[dest];
+    std::sort(list.begin(), list.end(),
+              [](const SideMsg& a, const SideMsg& b) { return a.id < b.id; });
+    list.erase(std::unique(list.begin(), list.end(),
+                           [](const SideMsg& a, const SideMsg& b) {
+                             return a.id == b.id;
+                           }),
+               list.end());
+    out.emplace_back(dest, std::move(list));
+  }
+  auto in = comm.exchange_typed(out);
+  // Sides in the combined (owned, ghost) order; kUnknown marks a ghost the
+  // halo exchange did not deliver.
+  constexpr std::uint8_t kUnknown = 0xFF;
+  std::vector<std::uint8_t> side_all(side.begin(), side.end());
+  side_all.resize(n_local + emb.ghost_ids.size(), kUnknown);
+  for (const auto& [src, payload] : in) {
+    (void)src;
+    for (const SideMsg& msg : payload) {
+      auto it = arcs.ghost_of.find(msg.id);
+      if (it != arcs.ghost_of.end()) {
+        side_all[n_local + it->second] = static_cast<std::uint8_t>(msg.side);
+      }
+    }
+  }
+
+  double cut2 = 0.0;
+  double work = 0.0;
+  for (std::size_t i = 0; i < n_local; ++i) {
+    auto ws = g.edge_weights_of(emb.owned[i]);
+    const std::uint32_t* ref = arcs.ref.data() + arcs.off[i];
+    work += static_cast<double>(ws.size());
+    for (std::size_t k = 0; k < ws.size(); ++k) {
+      const std::uint8_t su = side_all[ref[k]];
+      SP_ASSERT_MSG(su != kUnknown, "ghost side missing in halo exchange");
+      if (su != side[i]) cut2 += static_cast<double>(ws[k]);
+    }
+  }
+  comm.add_compute(work);
+  double total = comm.allreduce(cut2, comm::ReduceOp::kSum);
+  return static_cast<Weight>(std::llround(total / 2.0));
 }
 
 struct StripRecord {
@@ -122,15 +240,22 @@ ParallelGmtResult parallel_gmt(comm::Comm& comm, const CsrGraph& g,
   for (auto& u : normals) u = geom::random_unit_vector(dir_rng);
 
   // s values per (try, vertex).
+  std::vector<double> jitter(n_local + ghost_lifted.size());
+  for (std::size_t i = 0; i < n_local; ++i) {
+    jitter[i] = detail::jitter(emb.owned[i]);
+  }
+  for (std::size_t i = 0; i < ghost_lifted.size(); ++i) {
+    jitter[n_local + i] = detail::jitter(emb.ghost_ids[i]);
+  }
   std::vector<std::vector<double>> s(tries, std::vector<double>(n_local));
   std::vector<std::vector<double>> s_ghost(
       tries, std::vector<double>(ghost_lifted.size()));
   for (std::uint32_t t = 0; t < tries; ++t) {
     for (std::size_t i = 0; i < n_local; ++i) {
-      s[t][i] = normals[t].dot(lifted[i]) + jitter_of(emb.owned[i]);
+      s[t][i] = normals[t].dot(lifted[i]) + jitter[i];
     }
     for (std::size_t i = 0; i < ghost_lifted.size(); ++i) {
-      s_ghost[t][i] = normals[t].dot(ghost_lifted[i]) + jitter_of(emb.ghost_ids[i]);
+      s_ghost[t][i] = normals[t].dot(ghost_lifted[i]) + jitter[n_local + i];
     }
   }
   comm.add_compute(static_cast<double>(tries) *
@@ -176,38 +301,22 @@ ParallelGmtResult parallel_gmt(comm::Comm& comm, const CsrGraph& g,
   }
 
   // ---- Local cut and balance contributions; one reduction picks best. ----
-  std::unordered_map<VertexId, std::uint32_t> ghost_of;
-  ghost_of.reserve(emb.ghost_ids.size());
-  for (std::uint32_t i = 0; i < emb.ghost_ids.size(); ++i) {
-    ghost_of[emb.ghost_ids[i]] = i;
-  }
-  std::unordered_map<VertexId, std::uint32_t> local_of;
-  local_of.reserve(n_local);
-  for (std::uint32_t i = 0; i < n_local; ++i) local_of[emb.owned[i]] = i;
-
+  const ResolvedArcs arcs = resolve_arcs(g, emb);
+  std::vector<std::uint8_t> side_all;  // one try's sides, (owned, ghost)
   std::vector<double> contrib(tries * 3, 0.0);  // (cut2, w0, w1) per try
   double arc_work = 0.0;
   for (std::uint32_t t = 0; t < tries; ++t) {
+    sides_of_try(s[t], s_ghost[t], threshold[t], side_all);
     for (std::size_t i = 0; i < n_local; ++i) {
       VertexId v = emb.owned[i];
-      bool side_v = s[t][i] > threshold[t];
-      contrib[3 * t + (side_v ? 2 : 1)] +=
+      const std::uint8_t side_v = side_all[i];
+      contrib[3 * t + (side_v != 0 ? 2 : 1)] +=
           static_cast<double>(g.vertex_weight(v));
-      auto nbrs = g.neighbors(v);
       auto ws = g.edge_weights_of(v);
-      arc_work += static_cast<double>(nbrs.size());
-      for (std::size_t k = 0; k < nbrs.size(); ++k) {
-        VertexId u = nbrs[k];
-        double su;
-        auto it_local = local_of.find(u);
-        if (it_local != local_of.end()) {
-          su = s[t][it_local->second];
-        } else {
-          auto it_ghost = ghost_of.find(u);
-          SP_ASSERT(it_ghost != ghost_of.end());
-          su = s_ghost[t][it_ghost->second];
-        }
-        if (side_v != (su > threshold[t])) {
+      const std::uint32_t* ref = arcs.ref.data() + arcs.off[i];
+      arc_work += static_cast<double>(ws.size());
+      for (std::size_t k = 0; k < ws.size(); ++k) {
+        if (side_v != side_all[ref[k]]) {
           contrib[3 * t] += static_cast<double>(ws[k]);  // counted twice total
         }
       }
@@ -239,19 +348,11 @@ ParallelGmtResult parallel_gmt(comm::Comm& comm, const CsrGraph& g,
   // Strip width: pick |margin| quantile so that ~strip_factor * |boundary|
   // vertices fall inside. Boundary size comes from the winning try's cut
   // structure (endpoints of cut edges).
+  sides_of_try(s[best_t], s_ghost[best_t], threshold[best_t], side_all);
   double local_boundary = 0.0;
   for (std::size_t i = 0; i < n_local; ++i) {
-    VertexId v = emb.owned[i];
-    bool side_v = result.side[i] != 0;
-    for (VertexId u : g.neighbors(v)) {
-      double su;
-      auto it_local = local_of.find(u);
-      if (it_local != local_of.end()) {
-        su = s[best_t][it_local->second];
-      } else {
-        su = s_ghost[best_t][ghost_of.at(u)];
-      }
-      if (side_v != (su > threshold[best_t])) {
+    for (std::size_t a = arcs.off[i]; a < arcs.off[i + 1]; ++a) {
+      if (side_all[i] != side_all[arcs.ref[a]]) {
         local_boundary += 1.0;
         break;
       }
@@ -357,8 +458,8 @@ ParallelGmtResult parallel_gmt(comm::Comm& comm, const CsrGraph& g,
   auto flips = comm.broadcast_vec(std::span<const VertexId>(flipped), 0);
   delta_cut = comm.broadcast(delta_cut, 0);
   for (VertexId v : flips) {
-    auto it = local_of.find(v);
-    if (it != local_of.end()) {
+    auto it = arcs.local_of.find(v);
+    if (it != arcs.local_of.end()) {
       result.side[it->second] = static_cast<std::uint8_t>(1 - result.side[it->second]);
     }
   }
@@ -367,98 +468,12 @@ ParallelGmtResult parallel_gmt(comm::Comm& comm, const CsrGraph& g,
       comm.broadcast(static_cast<std::uint64_t>(result.strip_size), 0));
   // The strip FM delta is exact only for edges inside the shipped collar;
   // recompute the true cut with one halo exchange + reduction.
-  result.cut = distributed_cut(comm, g, emb, result.side);
+  result.cut = distributed_cut(comm, g, emb, arcs, result.side);
   obs::gauge(comm, "partition/strip_size",
              static_cast<double>(result.strip_size));
   obs::gauge(comm, "partition/strip_flips", static_cast<double>(flips.size()));
   obs::gauge(comm, "partition/cut", static_cast<double>(result.cut));
   return result;
-}
-
-graph::Weight distributed_cut(comm::Comm& comm, const CsrGraph& g,
-                              const embed::RankEmbedding& emb,
-                              std::span<const std::uint8_t> side) {
-  SP_ASSERT(side.size() == emb.owned.size());
-  std::unordered_map<VertexId, std::uint32_t> local_of;
-  local_of.reserve(emb.owned.size());
-  for (std::uint32_t i = 0; i < emb.owned.size(); ++i) {
-    local_of[emb.owned[i]] = i;
-  }
-  std::unordered_map<VertexId, std::uint32_t> ghost_of;
-  ghost_of.reserve(emb.ghost_ids.size());
-  for (std::uint32_t i = 0; i < emb.ghost_ids.size(); ++i) {
-    ghost_of[emb.ghost_ids[i]] = i;
-  }
-
-  // Who ghosts my vertices: owner(u) for every ghost u adjacent to owned v
-  // needs (v, side_v). Deduplicate per destination.
-  struct SideMsg {
-    VertexId id;
-    std::uint32_t side;
-  };
-  std::vector<std::vector<SideMsg>> by_dest(comm.nranks());
-  std::vector<std::uint32_t> last_sent(emb.owned.size(), comm.rank());
-  for (std::uint32_t i = 0; i < emb.owned.size(); ++i) {
-    for (VertexId u : g.neighbors(emb.owned[i])) {
-      auto it = ghost_of.find(u);
-      if (it == ghost_of.end()) continue;
-      std::uint32_t dest = emb.ghost_owner[it->second];
-      if (dest == last_sent[i]) continue;  // consecutive-dup filter
-      by_dest[dest].push_back({emb.owned[i], side[i]});
-      last_sent[i] = dest;
-    }
-  }
-  std::vector<std::pair<std::uint32_t, std::vector<SideMsg>>> out;
-  for (std::uint32_t dest = 0; dest < comm.nranks(); ++dest) {
-    if (dest == comm.rank() || by_dest[dest].empty()) continue;
-    auto& list = by_dest[dest];
-    std::sort(list.begin(), list.end(),
-              [](const SideMsg& a, const SideMsg& b) { return a.id < b.id; });
-    list.erase(std::unique(list.begin(), list.end(),
-                           [](const SideMsg& a, const SideMsg& b) {
-                             return a.id == b.id;
-                           }),
-               list.end());
-    out.emplace_back(dest, std::move(list));
-  }
-  auto in = comm.exchange_typed(out);
-  std::vector<std::uint8_t> ghost_side(emb.ghost_ids.size(), 0);
-  std::vector<bool> ghost_known(emb.ghost_ids.size(), false);
-  for (const auto& [src, payload] : in) {
-    (void)src;
-    for (const SideMsg& msg : payload) {
-      auto it = ghost_of.find(msg.id);
-      if (it != ghost_of.end()) {
-        ghost_side[it->second] = static_cast<std::uint8_t>(msg.side);
-        ghost_known[it->second] = true;
-      }
-    }
-  }
-
-  double cut2 = 0.0;
-  double work = 0.0;
-  for (std::uint32_t i = 0; i < emb.owned.size(); ++i) {
-    VertexId v = emb.owned[i];
-    auto nbrs = g.neighbors(v);
-    auto ws = g.edge_weights_of(v);
-    work += static_cast<double>(nbrs.size());
-    for (std::size_t k = 0; k < nbrs.size(); ++k) {
-      VertexId u = nbrs[k];
-      std::uint8_t su;
-      auto it_local = local_of.find(u);
-      if (it_local != local_of.end()) {
-        su = side[it_local->second];
-      } else {
-        std::uint32_t gi = ghost_of.at(u);
-        SP_ASSERT_MSG(ghost_known[gi], "ghost side missing in halo exchange");
-        su = ghost_side[gi];
-      }
-      if (su != side[i]) cut2 += static_cast<double>(ws[k]);
-    }
-  }
-  comm.add_compute(work);
-  double total = comm.allreduce(cut2, comm::ReduceOp::kSum);
-  return static_cast<Weight>(std::llround(total / 2.0));
 }
 
 }  // namespace sp::partition

@@ -57,10 +57,4 @@ ParallelGmtResult parallel_gmt(comm::Comm& comm, const graph::CsrGraph& g,
                                const embed::RankEmbedding& emb,
                                const ParallelGmtOptions& opt);
 
-/// Exact distributed cut of a side assignment: one halo exchange of owned
-/// sides plus one reduction. SPMD over the same layout as parallel_gmt.
-graph::Weight distributed_cut(comm::Comm& comm, const graph::CsrGraph& g,
-                              const embed::RankEmbedding& emb,
-                              std::span<const std::uint8_t> side);
-
 }  // namespace sp::partition

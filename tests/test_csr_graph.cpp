@@ -1,7 +1,11 @@
 // Tests for the CSR graph container and builder.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "graph/csr_graph.hpp"
+#include "graph/generators.hpp"
+#include "support/random.hpp"
 
 namespace sp::graph {
 namespace {
@@ -130,6 +134,78 @@ TEST(CsrGraph, InducedSubgraphPreservesVertexWeights) {
   std::vector<VertexId> keep = {1, 2};
   CsrGraph sub = induced_subgraph(g, keep);
   EXPECT_EQ(sub.vertex_weight(0), 9);
+}
+
+
+// The GraphBuilder formulation induced_subgraph must reproduce array for
+// array: each edge added once from its lower new endpoint's row.
+CsrGraph induced_reference(const CsrGraph& g,
+                           std::span<const VertexId> vertices) {
+  std::vector<VertexId> map(g.num_vertices(), kInvalidVertex);
+  for (std::size_t i = 0; i < vertices.size(); ++i) {
+    map[vertices[i]] = static_cast<VertexId>(i);
+  }
+  GraphBuilder builder(static_cast<VertexId>(vertices.size()));
+  for (std::size_t i = 0; i < vertices.size(); ++i) {
+    const auto u = static_cast<VertexId>(i);
+    builder.set_vertex_weight(u, g.vertex_weight(vertices[i]));
+    auto nbrs = g.neighbors(vertices[i]);
+    auto ws = g.edge_weights_of(vertices[i]);
+    for (std::size_t k = 0; k < nbrs.size(); ++k) {
+      const VertexId v = map[nbrs[k]];
+      if (v != kInvalidVertex && u < v) builder.add_edge(u, v, ws[k]);
+    }
+  }
+  return builder.build();
+}
+
+void expect_same_arrays(const CsrGraph& got, const CsrGraph& want) {
+  EXPECT_EQ(got.xadj(), want.xadj());
+  EXPECT_EQ(got.adjncy(), want.adjncy());
+  EXPECT_EQ(got.vertex_weights(), want.vertex_weights());
+  EXPECT_EQ(got.edge_weights(), want.edge_weights());
+}
+
+std::vector<VertexId> shuffled_subset(VertexId n, std::size_t size, Rng& rng) {
+  std::vector<VertexId> all(n);
+  for (VertexId v = 0; v < n; ++v) all[v] = v;
+  for (std::size_t i = 0; i < size; ++i) {
+    std::swap(all[i], all[i + rng.below(n - i)]);
+  }
+  all.resize(size);
+  return all;
+}
+
+TEST(CsrGraph, InducedSubgraphMatchesBuilderOnShuffledSubsets) {
+  const CsrGraph g = gen::delaunay(2000, 3).graph;
+  Rng rng(17);
+  for (std::size_t size : {0u, 1u, 2u, 37u, 500u, 1000u, 1999u, 2000u}) {
+    for (int draw = 0; draw < 3; ++draw) {
+      SCOPED_TRACE("size " + std::to_string(size));
+      const auto vertices = shuffled_subset(g.num_vertices(), size, rng);
+      std::vector<VertexId> map;
+      const CsrGraph sub = induced_subgraph(g, vertices, &map);
+      expect_same_arrays(sub, induced_reference(g, vertices));
+      for (std::size_t i = 0; i < vertices.size(); ++i) {
+        EXPECT_EQ(map[vertices[i]], i);
+      }
+    }
+  }
+}
+
+TEST(CsrGraph, InducedSubgraphMatchesBuilderOnRawArrays) {
+  // Raw CSR arrays no builder would produce: row 0 lists neighbour 2 twice
+  // (weights 4 and 5), edge {0,1} weighs 3 in row 0 but 7 in row 1, arc
+  // 3->1 has no reverse, and row 4 holds a self loop. Vertex weights vary.
+  const CsrGraph g({0, 4, 6, 8, 10, 13},
+                   {2, 1, 2, 4, 0, 2, 0, 1, 1, 4, 4, 3, 0}, {2, 3, 5, 7, 11},
+                   {4, 3, 5, 1, 7, 2, 9, 2, 8, 1, 3, 1, 1});
+  for (const std::vector<VertexId>& vertices :
+       {std::vector<VertexId>{0, 1, 2, 3, 4}, {4, 3, 2, 1, 0},
+        {2, 0, 4, 1, 3}, {1, 3, 0}, {3, 1}, {0, 2}, {2}}) {
+    expect_same_arrays(induced_subgraph(g, vertices),
+                       induced_reference(g, vertices));
+  }
 }
 
 }  // namespace

@@ -1,9 +1,14 @@
 // Tests for the Gilbert-Miller-Teng geometric mesh partitioner.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <stdexcept>
+
 #include "graph/generators.hpp"
 #include "partition/geometric_mesh.hpp"
 #include "partition/rcb.hpp"
+#include "support/random.hpp"
 
 namespace sp::partition {
 namespace {
@@ -135,6 +140,83 @@ TEST(GeometricMesh, SplitFractionHalfIsBisection) {
   opt.split_fraction = 0.5;
   auto r = geometric_mesh_partition(g.graph, g.coords, opt);
   EXPECT_LE(imbalance(g.graph, r.part), 0.02);
+}
+
+}  // namespace
+}  // namespace sp::partition
+
+// -- Weighted selection and try-count validation ------------------------------
+namespace sp::partition {
+namespace {
+
+// The sorted scan detail::weighted_quantile must reproduce: sort the
+// values, accumulate their weights in that order, and return the first
+// value whose running sum reaches fraction * total.
+double sorted_scan_quantile(std::span<const double> s,
+                            std::span<const Weight> w, double fraction) {
+  std::vector<std::uint32_t> idx(s.size());
+  std::iota(idx.begin(), idx.end(), 0u);
+  std::sort(idx.begin(), idx.end(),
+            [&](std::uint32_t a, std::uint32_t b) { return s[a] < s[b]; });
+  Weight total = 0;
+  for (std::uint32_t i : idx) total += w.empty() ? 1 : w[i];
+  double target = fraction * static_cast<double>(total);
+  double acc = 0;
+  for (std::uint32_t i : idx) {
+    acc += static_cast<double>(w.empty() ? 1 : w[i]);
+    if (acc >= target) return s[i];
+  }
+  return s.empty() ? 0.0 : s[idx.back()];
+}
+
+TEST(GeometricMesh, WeightedQuantileMatchesSortedScan) {
+  Rng rng(2024);
+  const double fractions[] = {0.0, 1.0 / 3.0, 0.5, 3.0 / 7.0, 1.0};
+  for (std::size_t n : {1u, 2u, 3u, 1000u}) {
+    for (int draw = 0; draw < 40; ++draw) {
+      // Half the values come from a pool of eight, so ties are common; the
+      // random weights include zeros.
+      std::vector<double> s(n);
+      for (double& x : s) {
+        x = rng.below(2) == 0 ? static_cast<double>(rng.below(8))
+                              : rng.uniform(-1.0, 9.0);
+      }
+      std::vector<Weight> w(n);
+      for (Weight& x : w) x = static_cast<Weight>(rng.below(5));
+      for (double fraction : fractions) {
+        SCOPED_TRACE("n " + std::to_string(n) + " draw " +
+                     std::to_string(draw) + " fraction " +
+                     std::to_string(fraction));
+        EXPECT_EQ(detail::weighted_quantile(s, {}, fraction),
+                  sorted_scan_quantile(s, {}, fraction));
+        EXPECT_EQ(detail::weighted_quantile(s, w, fraction),
+                  sorted_scan_quantile(s, w, fraction));
+      }
+    }
+  }
+  EXPECT_EQ(detail::weighted_quantile({}, {}, 0.5), 0.0);
+  const std::vector<double> zeros = {3.0, 1.0, 2.0};
+  const std::vector<Weight> none = {0, 0, 0};
+  EXPECT_EQ(detail::weighted_quantile(zeros, none, 0.5),
+            sorted_scan_quantile(zeros, none, 0.5));
+}
+
+TEST(GeometricMesh, ZeroTriesThrowInvalidArgument) {
+  auto g = graph::gen::delaunay(300, 8);
+  GeometricMeshOptions opt = GeometricMeshOptions::g7nl();
+  opt.num_centerpoints = 0;
+  EXPECT_THROW(geometric_mesh_partition(g.graph, g.coords, opt),
+               std::invalid_argument);
+  EXPECT_THROW(gmt_partition(g.graph, g.coords, opt, "none"),
+               std::invalid_argument);
+  opt.num_centerpoints = 1;
+  opt.circles_per_centerpoint = 0;
+  EXPECT_THROW(geometric_mesh_partition(g.graph, g.coords, opt),
+               std::invalid_argument);
+  opt.axis_cut = true;  // one try is enough
+  auto r = geometric_mesh_partition(g.graph, g.coords, opt);
+  EXPECT_EQ(r.tries, 1u);
+  EXPECT_EQ(r.part.size(), g.graph.num_vertices());
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // Tests for recursive k-way partitioning.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/kway.hpp"
 #include "graph/generators.hpp"
 #include "graph/quality.hpp"
@@ -90,6 +92,23 @@ TEST(Kway, SinglePartTrivial) {
   auto r = kway_partition_with_coords(g.graph, g.coords, opt);
   EXPECT_EQ(r.total_cut, 0);
   for (auto p : r.part) EXPECT_EQ(p, 0u);
+}
+
+TEST(Kway, ZeroTryGmtOptionsThrow) {
+  // GMT options that allow no separator are rejected before any cut, with
+  // strip refinement off and on.
+  auto g = graph::gen::delaunay(500, 4);
+  KwayOptions opt;
+  opt.parts = 4;
+  opt.gmt.num_centerpoints = 0;
+  opt.gmt.num_lines = 0;
+  opt.gmt.axis_cut = false;
+  for (bool strip : {false, true}) {
+    opt.strip_refine = strip;
+    EXPECT_THROW(kway_partition_with_coords(g.graph, g.coords, opt),
+                 std::invalid_argument)
+        << "strip_refine " << strip;
+  }
 }
 
 }  // namespace

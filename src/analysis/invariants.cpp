@@ -232,6 +232,10 @@ Violations validate_distributed_graph(const CsrGraph& g,
     return out;
   }
   std::vector<std::vector<std::uint32_t>> nbr_ranks_of(nranks);
+  // Per rank: (destination, global ids sent there), and its ghosts.
+  std::vector<std::vector<std::pair<std::uint32_t, std::vector<VertexId>>>>
+      sent_to(nranks);
+  std::vector<std::vector<VertexId>> ghosts_of(nranks);
 
   VertexId expected_begin = 0;
   for (std::uint32_t r = 0; r < nranks && out.size() < 16; ++r) {
@@ -306,30 +310,52 @@ Violations validate_distributed_graph(const CsrGraph& g,
     if (view.neighbor_ranks() != expected_nbrs) {
       add(out, who + "neighbor_ranks disagree with ghost ownership");
     }
-    const auto& by_rank = view.ghosts_by_rank();
-    if (by_rank.size() != view.neighbor_ranks().size()) {
-      add(out, who + "ghosts_by_rank not aligned with neighbor_ranks");
-    } else {
-      std::size_t total = 0;
-      for (std::size_t i = 0; i < by_rank.size(); ++i) {
-        total += by_rank[i].size();
-        if (!std::is_sorted(by_rank[i].begin(), by_rank[i].end())) {
-          add(out, who + "ghosts_by_rank[" + std::to_string(i) +
-                       "] not sorted");
-        }
-        for (VertexId gid : by_rank[i]) {
-          if (graph::block_owner(gid, n, nranks) !=
-              view.neighbor_ranks()[i]) {
-            add(out, who + "ghost " + std::to_string(gid) +
-                         " filed under the wrong owner rank");
+    // Ghost owners, arc slots and send lists, recomputed.
+    const graph::Halo& halo = view.halo();
+    for (VertexId j = 0; j < ghosts.size(); ++j) {
+      if (halo.ghost_owners()[j] != graph::block_owner(ghosts[j], n, nranks)) {
+        add(out, who + "ghost " + std::to_string(ghosts[j]) +
+                     " filed under the wrong owner rank");
+        break;
+      }
+    }
+    for (VertexId local = 0; local < view.num_local(); ++local) {
+      auto nbrs = view.neighbors(local);
+      auto slots = halo.slots_of(local);
+      bool named = slots.size() == nbrs.size();
+      for (std::size_t k = 0; named && k < nbrs.size(); ++k) {
+        const VertexId ghost = slots[k] - view.num_local();
+        named = slots[k] < view.num_local()
+                    ? view.to_global(slots[k]) == nbrs[k]
+                    : ghost < ghosts.size() && ghosts[ghost] == nbrs[k];
+      }
+      if (!named) {
+        add(out, who + "arc slots of local vertex " + std::to_string(local) +
+                     " do not name its neighbours");
+        break;
+      }
+    }
+    for (std::size_t k = 0; k < view.neighbor_ranks().size(); ++k) {
+      const std::uint32_t dest = view.neighbor_ranks()[k];
+      std::vector<VertexId> expected;
+      for (VertexId local : boundary) {
+        for (VertexId u : view.neighbors(local)) {
+          if (!view.owns(u) && graph::block_owner(u, n, nranks) == dest) {
+            expected.push_back(local);
             break;
           }
         }
       }
-      if (total != ghosts.size()) {
-        add(out, who + "ghosts_by_rank does not partition the ghost set");
+      auto list = halo.send_list(k);
+      if (!std::equal(list.begin(), list.end(), expected.begin(),
+                      expected.end())) {
+        add(out, who + "send list to rank " + std::to_string(dest) +
+                     " disagrees with recomputation");
       }
+      for (VertexId& local : expected) local = view.to_global(local);
+      sent_to[r].emplace_back(dest, std::move(expected));
     }
+    ghosts_of[r] = ghosts;
     nbr_ranks_of[r] = view.neighbor_ranks();
   }
   if (expected_begin != n && out.empty()) {
@@ -337,7 +363,8 @@ Violations validate_distributed_graph(const CsrGraph& g,
                  std::to_string(expected_begin));
   }
 
-  // Neighbour symmetry: r sees s iff s sees r (the halo exchange pattern
+  // Neighbour symmetry: r sees s iff s sees r, and what r sends s is
+  // exactly the ghosts s holds of r's vertices (the halo exchange pattern
   // both sides must agree on).
   for (std::uint32_t r = 0; r < nranks && out.size() < 16; ++r) {
     for (std::uint32_t s : nbr_ranks_of[r]) {
@@ -346,6 +373,16 @@ Violations validate_distributed_graph(const CsrGraph& g,
         add(out, "neighbour asymmetry: rank " + std::to_string(r) +
                      " lists rank " + std::to_string(s) +
                      " but not vice versa");
+      }
+    }
+    for (const auto& [s, sent] : sent_to[r]) {
+      std::vector<VertexId> held;
+      for (VertexId gid : ghosts_of[s]) {
+        if (graph::block_owner(gid, n, nranks) == r) held.push_back(gid);
+      }
+      if (sent != held) {
+        add(out, "rank " + std::to_string(r) + " sends rank " +
+                     std::to_string(s) + " other vertices than it ghosts");
       }
     }
   }

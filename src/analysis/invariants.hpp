@@ -43,9 +43,10 @@ Violations validate_hierarchy_level(const graph::CsrGraph& fine,
 Violations validate_hierarchy(const coarsen::Hierarchy& h);
 
 /// Ghost/halo consistency of the block distribution of `g` over `nranks`:
-/// rank ranges tile [0, n), ghosts are exactly the non-owned neighbours,
-/// boundary sets are exact, neighbour-rank lists are symmetric across
-/// ranks, and per-rank ghost lists agree with block ownership.
+/// rank ranges tile [0, n), ghosts are exactly the non-owned neighbours
+/// with their block owners, boundary sets are exact, arc slots name each
+/// arc's head, neighbour-rank lists are symmetric across ranks, and each
+/// send list holds exactly the vertices its destination ghosts.
 Violations validate_distributed_graph(const graph::CsrGraph& g,
                                       std::uint32_t nranks);
 

@@ -60,6 +60,8 @@ namespace sp::analysis {
 
 namespace detail {
 
+// The auditor's half of every annotation; empty, and inlined away, with
+// SP_ANALYSIS off.
 #ifdef SP_ANALYSIS
 inline void record_access(const comm::Comm& comm, const void* addr,
                           std::size_t size, bool is_write, const char* label,
@@ -78,6 +80,9 @@ inline void record_access(const comm::Comm& comm, const void* addr,
   a.site = CallSite::from(loc);
   for (comm::EventSink* s : sinks) s->on_access(a);
 }
+#else
+inline void record_access(const comm::Comm&, const void*, std::size_t, bool,
+                          const char*, const std::source_location&) {}
 #endif
 
 // Host-call thunks for the vector slots: executed in the process that
@@ -117,12 +122,8 @@ class SharedSpan {
   void write(const comm::Comm& comm, std::size_t i, const T& value,
              const std::source_location& loc =
                  std::source_location::current()) const {
-#ifdef SP_ANALYSIS
     detail::record_access(comm, data_ + i, sizeof(T), /*is_write=*/true,
                           label_, loc);
-#else
-    (void)loc;
-#endif
     if (comm.remote_memory()) {
       comm.host_store(data_ + i, &value, sizeof(T));
       return;
@@ -134,12 +135,8 @@ class SharedSpan {
   T read(const comm::Comm& comm, std::size_t i,
          const std::source_location& loc =
              std::source_location::current()) const {
-#ifdef SP_ANALYSIS
     detail::record_access(comm, data_ + i, sizeof(T), /*is_write=*/false,
                           label_, loc);
-#else
-    (void)loc;
-#endif
     if (comm.remote_memory()) {
       T value{};
       comm.host_load(data_ + i, &value, sizeof(T));
@@ -150,18 +147,14 @@ class SharedSpan {
 
   /// Annotated whole-span load. Semantically size() read()s, but fetched
   /// as one bulk transfer — the right shape for read-mostly directories
-  /// consumed after the barrier that completes them (e.g. build_halo's
-  /// owner lookups), where per-element loads would mean one RPC per
-  /// vertex on the process backend.
+  /// consumed after the barrier that completes them (e.g. the lattice
+  /// halo's owner lookups), where per-element loads would mean one RPC
+  /// per vertex on the process backend.
   std::vector<T> snapshot(const comm::Comm& comm,
                           const std::source_location& loc =
                               std::source_location::current()) const {
-#ifdef SP_ANALYSIS
     detail::record_access(comm, data_, size_ * sizeof(T), /*is_write=*/false,
                           label_, loc);
-#else
-    (void)loc;
-#endif
     std::vector<T> out(size_);
     comm.host_load(data_, out.data(), size_ * sizeof(T));
     return out;
@@ -187,12 +180,7 @@ void shared_store(const comm::Comm& comm, T& slot,
                   std::type_identity_t<T> value, const char* label,
                   const std::source_location& loc =
                       std::source_location::current()) {
-#ifdef SP_ANALYSIS
   detail::record_access(comm, &slot, sizeof(T), /*is_write=*/true, label, loc);
-#else
-  (void)loc;
-  (void)label;
-#endif
   if constexpr (std::is_trivially_copyable_v<T>) {
     if (comm.remote_memory()) {
       comm.host_store(&slot, &value, sizeof(T));
@@ -207,13 +195,8 @@ template <typename T>
 T shared_load(const comm::Comm& comm, const T& slot, const char* label,
               const std::source_location& loc =
                   std::source_location::current()) {
-#ifdef SP_ANALYSIS
   detail::record_access(comm, &slot, sizeof(T), /*is_write=*/false, label,
                         loc);
-#else
-  (void)loc;
-  (void)label;
-#endif
   if constexpr (std::is_trivially_copyable_v<T> &&
                 std::is_default_constructible_v<T>) {
     if (comm.remote_memory()) {
@@ -236,13 +219,8 @@ void shared_assign_vec(const comm::Comm& comm, std::vector<T>& slot,
                        const std::source_location& loc =
                            std::source_location::current()) {
   static_assert(std::is_trivially_copyable_v<T>);
-#ifdef SP_ANALYSIS
   detail::record_access(comm, &slot, sizeof(slot), /*is_write=*/true, label,
                         loc);
-#else
-  (void)loc;
-  (void)label;
-#endif
   if (comm.remote_memory()) {
     comm.host_call_store(&detail::vec_assign_thunk<T>, &slot,
                          reinterpret_cast<const std::byte*>(value.data()),
@@ -259,13 +237,8 @@ std::vector<T> shared_fetch_vec(const comm::Comm& comm,
                                 const std::source_location& loc =
                                     std::source_location::current()) {
   static_assert(std::is_trivially_copyable_v<T>);
-#ifdef SP_ANALYSIS
   detail::record_access(comm, &slot, sizeof(slot), /*is_write=*/false, label,
                         loc);
-#else
-  (void)loc;
-  (void)label;
-#endif
   if (comm.remote_memory()) {
     const std::vector<std::byte> bytes =
         comm.host_call_load(&detail::vec_fetch_thunk<T>, &slot);
@@ -284,14 +257,7 @@ template <typename T>
 void note_shared_write(const comm::Comm& comm, const T& obj, const char* label,
                        const std::source_location& loc =
                            std::source_location::current()) {
-#ifdef SP_ANALYSIS
   detail::record_access(comm, &obj, sizeof(T), /*is_write=*/true, label, loc);
-#else
-  (void)comm;
-  (void)obj;
-  (void)label;
-  (void)loc;
-#endif
 }
 
 /// Annotates a read of `obj` (the caller performs the actual access).
@@ -299,14 +265,7 @@ template <typename T>
 void note_shared_read(const comm::Comm& comm, const T& obj, const char* label,
                       const std::source_location& loc =
                           std::source_location::current()) {
-#ifdef SP_ANALYSIS
   detail::record_access(comm, &obj, sizeof(T), /*is_write=*/false, label, loc);
-#else
-  (void)comm;
-  (void)obj;
-  (void)label;
-  (void)loc;
-#endif
 }
 
 }  // namespace sp::analysis

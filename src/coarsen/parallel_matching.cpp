@@ -1,6 +1,5 @@
 #include "coarsen/parallel_matching.hpp"
 
-#include <algorithm>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -156,35 +155,20 @@ DistributedMatchingResult distributed_matching(comm::Comm& comm,
       }
     }
 
-    // Phase 3: tell halo neighbours which of my boundary vertices matched.
-    std::vector<std::vector<MatchNote>> notes(comm.nranks());
-    for (VertexId local : view.boundary_locals()) {
-      if (result.partner[local] == graph::kInvalidVertex) continue;
-      VertexId v = view.to_global(local);
-      std::uint32_t last = comm.rank();
-      for (VertexId u : view.neighbors(local)) {
-        if (view.owns(u)) continue;
-        std::uint32_t o = owner_of(u);
-        if (o != last) {
-          notes[o].push_back({v});
-          last = o;
+    // Phase 3: tell each halo neighbour which of the vertices it ghosts
+    // got matched.
+    const graph::Halo& halo = view.halo();
+    std::vector<std::pair<std::uint32_t, std::vector<MatchNote>>> note_msgs;
+    for (std::size_t k = 0; k < halo.send_ranks().size(); ++k) {
+      std::vector<MatchNote> notes;
+      for (std::uint32_t local : halo.send_list(k)) {
+        if (result.partner[local] != graph::kInvalidVertex) {
+          notes.push_back({view.to_global(local)});
         }
       }
-    }
-    std::vector<std::pair<std::uint32_t, std::vector<MatchNote>>> note_msgs;
-    for (std::uint32_t r = 0; r < comm.nranks(); ++r) {
-      if (notes[r].empty() || r == comm.rank()) continue;
-      auto& list = notes[r];
-      std::sort(list.begin(), list.end(),
-                [](const MatchNote& a, const MatchNote& b) {
-                  return a.vertex < b.vertex;
-                });
-      list.erase(std::unique(list.begin(), list.end(),
-                             [](const MatchNote& a, const MatchNote& b) {
-                               return a.vertex == b.vertex;
-                             }),
-                 list.end());
-      note_msgs.emplace_back(r, std::move(list));
+      if (!notes.empty()) {
+        note_msgs.emplace_back(halo.send_ranks()[k], std::move(notes));
+      }
     }
     auto note_in = comm.exchange_typed(note_msgs);
     for (const auto& [src, payload] : note_in) {

@@ -48,8 +48,8 @@ StageBreakdown breakdown_from(const comm::RunStats& stats) {
 embed::RankEmbedding embedding_from_coords(comm::Comm& world,
                                            const CsrGraph& g,
                                            std::span<const geom::Vec2> coords) {
-  const VertexId n = g.num_vertices();
   graph::LocalView view(g, world.rank(), world.nranks());
+  const graph::Halo& halo = view.halo();
   embed::RankEmbedding emb;
   emb.owned.resize(view.num_local());
   emb.pos.resize(view.num_local());
@@ -61,50 +61,42 @@ embed::RankEmbedding embedding_from_coords(comm::Comm& world,
     VertexId id;
     double x, y;
   };
-  // Send my boundary coords to each neighbouring rank that ghosts them:
-  // one pass over the boundary appends each vertex once to the payload of
-  // every distinct rank owning one of its neighbours.
-  const auto& nbr_ranks = view.neighbor_ranks();
-  std::vector<std::uint32_t> slot_of(world.nranks(), 0);
-  for (std::uint32_t k = 0; k < nbr_ranks.size(); ++k) {
-    slot_of[nbr_ranks[k]] = k;
-  }
-  std::vector<std::vector<CoordMsg>> payloads(nbr_ranks.size());
-  std::vector<VertexId> last_local(nbr_ranks.size(), graph::kInvalidVertex);
-  for (VertexId local : view.boundary_locals()) {
-    const VertexId global = view.to_global(local);
-    for (VertexId u : view.neighbors(local)) {
-      if (view.owns(u)) continue;
-      const std::uint32_t k = slot_of[graph::block_owner(u, n, world.nranks())];
-      if (last_local[k] == local) continue;
-      last_local[k] = local;
-      payloads[k].push_back({global, coords[global][0], coords[global][1]});
-    }
-  }
   std::vector<std::pair<std::uint32_t, std::vector<CoordMsg>>> out;
-  for (std::uint32_t k = 0; k < nbr_ranks.size(); ++k) {
-    if (!payloads[k].empty()) {
-      out.emplace_back(nbr_ranks[k], std::move(payloads[k]));
+  for (std::size_t k = 0; k < halo.send_ranks().size(); ++k) {
+    std::vector<CoordMsg> payload;
+    for (std::uint32_t i : halo.send_list(k)) {
+      payload.push_back({emb.owned[i], emb.pos[i][0], emb.pos[i][1]});
     }
+    out.emplace_back(halo.send_ranks()[k], std::move(payload));
   }
   auto in = world.exchange_typed(out);
-  emb.ghost_ids = view.ghosts();
+  emb.ghost_ids = halo.ghosts();
+  emb.ghost_owner = halo.ghost_owners();
   emb.ghost_pos.assign(emb.ghost_ids.size(), geom::Vec2{});
-  emb.ghost_owner.resize(emb.ghost_ids.size());
-  for (std::size_t i = 0; i < emb.ghost_ids.size(); ++i) {
-    emb.ghost_owner[i] = graph::block_owner(emb.ghost_ids[i], n,
-                                            world.nranks());
-  }
   for (const auto& [src, payload] : in) {
     (void)src;
     for (const CoordMsg& msg : payload) {
-      const VertexId gi = view.ghost_index(msg.id);
+      const VertexId gi = halo.ghost_index(msg.id);
       if (gi != graph::kInvalidVertex) {
         emb.ghost_pos[gi] = geom::vec2(msg.x, msg.y);
       }
     }
   }
   return emb;
+}
+
+/// The engine configuration of both entry points.
+comm::BspEngine::Options engine_options(const ScalaPartOptions& opt) {
+  comm::BspEngine::Options eng_opt;
+  eng_opt.nranks = opt.nranks;
+  eng_opt.model = opt.cost_model;
+  eng_opt.faults = opt.faults;
+  eng_opt.detector = opt.detector;
+  eng_opt.schedule = opt.schedule;
+  eng_opt.schedule_seed = opt.schedule_seed;
+  eng_opt.backend = opt.backend;
+  eng_opt.threads = opt.threads;
+  return eng_opt;
 }
 
 /// Pipeline body shared by the fresh-start and cold-resume entry points.
@@ -206,16 +198,7 @@ ScalaPartResult scalapart_run(const CsrGraph& g, const ScalaPartOptions& opt,
     };
   }
 
-  comm::BspEngine::Options eng_opt;
-  eng_opt.nranks = opt.nranks;
-  eng_opt.model = opt.cost_model;
-  eng_opt.faults = opt.faults;
-  eng_opt.detector = opt.detector;
-  eng_opt.schedule = opt.schedule;
-  eng_opt.schedule_seed = opt.schedule_seed;
-  eng_opt.backend = opt.backend;
-  eng_opt.threads = opt.threads;
-  comm::BspEngine engine(eng_opt);
+  comm::BspEngine engine(engine_options(opt));
 
   // Flight recorder (DESIGN.md §9): reuse an enclosing recorder when one
   // is installed (the chaos harness does this to own the dump), otherwise
@@ -571,16 +554,9 @@ ScalaPartResult sp_pg7nl_partition(const CsrGraph& g,
   analysis::SharedSpan<std::uint8_t> shared_side(side.data(), side.size(),
                                                 "core/side");
   graph::Weight cut = 0;
+  std::size_t strip_size = 0;
 
-  comm::BspEngine::Options eng_opt;
-  eng_opt.nranks = opt.nranks;
-  eng_opt.model = opt.cost_model;
-  eng_opt.faults = opt.faults;
-  eng_opt.schedule = opt.schedule;
-  eng_opt.schedule_seed = opt.schedule_seed;
-  eng_opt.backend = opt.backend;
-  eng_opt.threads = opt.threads;
-  comm::BspEngine engine(eng_opt);
+  comm::BspEngine engine(engine_options(opt));
 
   auto stats = engine.run([&](comm::Comm& world) {
     obs::Span pipeline_span(world, "sp-pg7nl", "pipeline");
@@ -593,6 +569,8 @@ ScalaPartResult sp_pg7nl_partition(const CsrGraph& g,
     }
     if (world.rank() == 0) {
       analysis::shared_store(world, cut, gmt.cut, "core/cut");
+      analysis::shared_store(world, strip_size, gmt.strip_size,
+                             "core/strip_size");
     }
     world.barrier();
   });
@@ -606,6 +584,7 @@ ScalaPartResult sp_pg7nl_partition(const CsrGraph& g,
   result.modeled_seconds = result.stages.partition_seconds;
   result.partition_only_seconds = result.stages.partition_seconds;
   result.stats = std::move(stats);
+  result.strip_size = strip_size;
   return result;
 }
 

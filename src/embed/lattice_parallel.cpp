@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 #include "geometry/balanced_grid.hpp"
 #include "geometry/quadtree.hpp"
 
 #include "embed/force_model.hpp"
+#include "graph/distributed_graph.hpp"
 #include "obs/span.hpp"
 #include "support/assert.hpp"
 #include "support/random.hpp"
@@ -102,22 +102,19 @@ struct LevelLocal {
   std::shared_ptr<geom::BalancedGrid> grid;
   std::vector<VertexId> owned;     // sorted global ids
   std::vector<Vec2> pos;           // aligned with owned
-  std::unordered_map<VertexId, std::uint32_t> local_idx;
+  /// Ghosts, arc slots and send lists of `owned` (graph/distributed_graph.hpp).
+  graph::Halo halo;
+  std::vector<Vec2> ghost_pos;     // aligned with halo.ghosts()
 
-  std::vector<VertexId> ghost_ids;
-  std::vector<Vec2> ghost_pos;
-  std::vector<std::uint32_t> ghost_owner;
-  std::unordered_map<VertexId, std::uint32_t> ghost_idx;
-
-  /// Near-neighbour send plan: (dest rank, local indices of owned
-  /// boundary vertices that rank ghosts). Refreshed every iteration.
-  std::vector<std::pair<std::uint32_t, std::vector<std::uint32_t>>> near_sends;
-  /// Same structure for ranks beyond the 8-neighbourhood; refreshed only
-  /// once per stale block. (The paper uses an allgather here; targeted
-  /// messages carry the same information with volume proportional to the
-  /// far-spanning edges instead of P times that, which matters at reduced
-  /// graph scale where cells are tiny and many edges span far cells.)
-  std::vector<std::pair<std::uint32_t, std::vector<std::uint32_t>>> far_sends;
+  /// Near-neighbour send plan: indices into halo.send_ranks() of the
+  /// ranks on the 8-neighbourhood. Refreshed every iteration.
+  std::vector<std::uint32_t> near_sends;
+  /// The ranks beyond the 8-neighbourhood; refreshed only once per stale
+  /// block. (The paper uses an allgather here; targeted messages carry
+  /// the same information with volume proportional to the far-spanning
+  /// edges instead of P times that, which matters at reduced graph scale
+  /// where cells are tiny and many edges span far cells.)
+  std::vector<std::uint32_t> far_sends;
 };
 
 std::uint32_t grid_row(std::uint32_t rank, std::uint32_t cols) {
@@ -135,62 +132,27 @@ bool grid_near(std::uint32_t a, std::uint32_t b, std::uint32_t cols) {
   return std::abs(dr) <= 1 && std::abs(dc) <= 1;
 }
 
-/// After `owned`/`pos` and the level owner directory are final, derive
-/// ghost lists and the send plans from the shared graph topology.
+/// After `owned`/`pos` and the level owner directory are final, derives
+/// the level's halo and splits its send lists into near and far ranks.
 /// `owner_of(u)` resolves a vertex's owning rank — an audited read of the
 /// shared directory on most paths, or a plain lookup when the caller
 /// holds a rank-local copy (the coarsest level, where every rank derives
-/// the full map itself).
+/// the full map itself). Charged as one unit per owned arc and vertex.
 template <typename OwnerFn>
-void build_halo(LevelLocal& local, const CsrGraph& g, OwnerFn&& owner_of,
-                std::uint32_t my_rank, comm::Comm& sub) {
-  local.local_idx.clear();
-  local.local_idx.reserve(local.owned.size());
-  for (std::uint32_t i = 0; i < local.owned.size(); ++i) {
-    local.local_idx[local.owned[i]] = i;
-  }
-  local.ghost_ids.clear();
-  local.ghost_owner.clear();
-  local.ghost_idx.clear();
+void enter_level(LevelLocal& local, const CsrGraph& g, OwnerFn&& owner_of,
+                 comm::Comm& sub) {
+  local.halo = graph::Halo(g, local.owned, owner_of);
   local.near_sends.clear();
   local.far_sends.clear();
-
-  std::vector<std::vector<std::uint32_t>> sends(local.pl);
-  double work = 0;
-
-  for (std::uint32_t i = 0; i < local.owned.size(); ++i) {
-    VertexId v = local.owned[i];
-    auto nbrs = g.neighbors(v);
-    work += static_cast<double>(nbrs.size());
-    std::uint32_t last_dest = my_rank;  // cheap consecutive-dup filter
-    for (VertexId u : nbrs) {
-      std::uint32_t o = owner_of(u);
-      if (o == my_rank) continue;
-      if (local.ghost_idx.find(u) == local.ghost_idx.end()) {
-        local.ghost_idx[u] = static_cast<std::uint32_t>(local.ghost_ids.size());
-        local.ghost_ids.push_back(u);
-        local.ghost_owner.push_back(o);
-      }
-      if (o != last_dest) {
-        // Record that rank o needs v; dedup fully below.
-        sends[o].push_back(i);
-        last_dest = o;
-      }
-    }
+  const auto& ranks = local.halo.send_ranks();
+  for (std::uint32_t k = 0; k < ranks.size(); ++k) {
+    (grid_near(sub.rank(), ranks[k], local.cols) ? local.near_sends
+                                                 : local.far_sends)
+        .push_back(k);
   }
-  for (std::uint32_t dest = 0; dest < local.pl; ++dest) {
-    if (dest == my_rank || sends[dest].empty()) continue;
-    auto& list = sends[dest];
-    std::sort(list.begin(), list.end());
-    list.erase(std::unique(list.begin(), list.end()), list.end());
-    if (grid_near(my_rank, dest, local.cols)) {
-      local.near_sends.emplace_back(dest, std::move(list));
-    } else {
-      local.far_sends.emplace_back(dest, std::move(list));
-    }
-  }
-  local.ghost_pos.assign(local.ghost_ids.size(), Vec2{});
-  sub.add_compute(work + static_cast<double>(local.owned.size()));
+  local.ghost_pos.assign(local.halo.ghosts().size(), Vec2{});
+  sub.add_compute(static_cast<double>(local.halo.num_arcs()) +
+                  static_cast<double>(local.owned.size()));
 }
 
 /// Brings every ghost position exactly up to date (near exchange + far
@@ -199,21 +161,16 @@ void build_halo(LevelLocal& local, const CsrGraph& g, OwnerFn&& owner_of,
 /// a consistent embedding.
 void refresh_all_ghosts(comm::Comm& sub, LevelLocal& local) {
   std::vector<std::pair<std::uint32_t, std::vector<CoordMsg>>> out;
-  for (const auto& [dest, locals] : local.near_sends) {
-    std::vector<CoordMsg> payload;
-    payload.reserve(locals.size());
-    for (std::uint32_t i : locals) {
-      payload.push_back({local.owned[i], local.pos[i][0], local.pos[i][1]});
+  for (const auto* sends : {&local.near_sends, &local.far_sends}) {
+    for (std::uint32_t k : *sends) {
+      std::vector<CoordMsg> payload;
+      auto list = local.halo.send_list(k);
+      payload.reserve(list.size());
+      for (std::uint32_t i : list) {
+        payload.push_back({local.owned[i], local.pos[i][0], local.pos[i][1]});
+      }
+      out.emplace_back(local.halo.send_ranks()[k], std::move(payload));
     }
-    out.emplace_back(dest, std::move(payload));
-  }
-  for (const auto& [dest, locals] : local.far_sends) {
-    std::vector<CoordMsg> payload;
-    payload.reserve(locals.size());
-    for (std::uint32_t i : locals) {
-      payload.push_back({local.owned[i], local.pos[i][0], local.pos[i][1]});
-    }
-    out.emplace_back(dest, std::move(payload));
   }
   if (obs::active()) {
     std::size_t sent = 0;
@@ -226,9 +183,9 @@ void refresh_all_ghosts(comm::Comm& sub, LevelLocal& local) {
   for (const auto& [src, payload] : in) {
     (void)src;
     for (const CoordMsg& msg : payload) {
-      auto it = local.ghost_idx.find(msg.id);
-      if (it != local.ghost_idx.end()) {
-        local.ghost_pos[it->second] = geom::vec2(msg.x, msg.y);
+      const VertexId j = local.halo.ghost_index(msg.id);
+      if (j != graph::kInvalidVertex) {
+        local.ghost_pos[j] = geom::vec2(msg.x, msg.y);
       }
     }
   }
@@ -290,7 +247,7 @@ void smooth_level(comm::Comm& sub, LevelLocal& local, const CsrGraph& g,
   std::vector<Vec2> force(local.owned.size());
 
   const auto owned_n = static_cast<std::uint32_t>(local.owned.size());
-  const auto ghost_n = static_cast<std::uint32_t>(local.ghost_ids.size());
+  const auto ghost_n = static_cast<std::uint32_t>(local.halo.ghosts().size());
 
   // SoA coordinate mirrors. gx/gy hold the *clamped* ghost positions the
   // force loop reads; an unreceived ghost clamps its zero-initialised
@@ -307,71 +264,51 @@ void smooth_level(comm::Comm& sub, LevelLocal& local, const CsrGraph& g,
     gy[j] = c[1];
   }
 
-  // Adjacency resolved once per level: each slot names an owned index or
-  // (tagged) a ghost index, with the edge weight widened alongside.
-  constexpr std::uint32_t kGhostBit = 0x80000000u;
-  std::vector<std::uint32_t> nbr_off(owned_n + 1, 0);
-  for (std::uint32_t i = 0; i < owned_n; ++i) {
-    nbr_off[i + 1] =
-        nbr_off[i] + static_cast<std::uint32_t>(g.neighbors(local.owned[i]).size());
-  }
-  std::vector<std::uint32_t> nbr_ref(nbr_off[owned_n]);
-  std::vector<double> nbr_w(nbr_off[owned_n]);
+  // The halo's arc slots name an owned index or, from owned_n on, a ghost
+  // index; the edge weights are widened alongside.
+  const graph::Halo& halo = local.halo;
+  const std::uint32_t* slot = halo.slots().data();
+  std::vector<double> nbr_w(halo.num_arcs());
   std::uint32_t max_deg = 0;
   for (std::uint32_t i = 0; i < owned_n; ++i) {
-    auto nbrs = g.neighbors(local.owned[i]);
     auto ws = g.edge_weights_of(local.owned[i]);
-    max_deg = std::max(max_deg, static_cast<std::uint32_t>(nbrs.size()));
-    for (std::size_t k = 0; k < nbrs.size(); ++k) {
-      VertexId u = nbrs[k];
-      std::uint32_t ref;
-      auto it_own = local.local_idx.find(u);
-      if (it_own != local.local_idx.end()) {
-        ref = it_own->second;
-      } else {
-        auto it_g = local.ghost_idx.find(u);
-        SP_ASSERT(it_g != local.ghost_idx.end());
-        ref = it_g->second | kGhostBit;
-      }
-      nbr_ref[nbr_off[i] + k] = ref;
-      nbr_w[nbr_off[i] + k] = static_cast<double>(ws[k]);
+    max_deg = std::max(max_deg, static_cast<std::uint32_t>(ws.size()));
+    for (std::size_t k = 0; k < ws.size(); ++k) {
+      nbr_w[halo.arc_begin(i) + k] = static_cast<double>(ws[k]);
     }
   }
   std::vector<double> ux(max_deg), uy(max_deg);  // gather scratch
 
   // A ghost update stores the exact position and the clamped SoA mirror.
   auto apply_ghost = [&](const CoordMsg& msg) {
-    auto it_g = local.ghost_idx.find(msg.id);
-    if (it_g == local.ghost_idx.end()) return;
-    local.ghost_pos[it_g->second] = geom::vec2(msg.x, msg.y);
-    Vec2 c = lattice.clamp_to_neighbor(my_row, my_col,
-                                       local.ghost_pos[it_g->second]);
-    gx[it_g->second] = c[0];
-    gy[it_g->second] = c[1];
+    const VertexId j = halo.ghost_index(msg.id);
+    if (j == graph::kInvalidVertex) return;
+    local.ghost_pos[j] = geom::vec2(msg.x, msg.y);
+    Vec2 c = lattice.clamp_to_neighbor(my_row, my_col, local.ghost_pos[j]);
+    gx[j] = c[0];
+    gy[j] = c[1];
   };
 
   // Outgoing payload buffers persist across iterations (steady-state
   // supersteps refill them without allocating).
-  std::vector<std::pair<std::uint32_t, std::vector<CoordMsg>>> near_out(
-      local.near_sends.size());
-  for (std::size_t k = 0; k < local.near_sends.size(); ++k) {
-    near_out[k].first = local.near_sends[k].first;
-    near_out[k].second.reserve(local.near_sends[k].second.size());
-  }
-  std::vector<std::pair<std::uint32_t, std::vector<CoordMsg>>> far_out(
-      local.far_sends.size());
-  for (std::size_t k = 0; k < local.far_sends.size(); ++k) {
-    far_out[k].first = local.far_sends[k].first;
-    far_out[k].second.reserve(local.far_sends[k].second.size());
-  }
+  auto make_out = [&](const std::vector<std::uint32_t>& sends) {
+    std::vector<std::pair<std::uint32_t, std::vector<CoordMsg>>> out(
+        sends.size());
+    for (std::size_t k = 0; k < sends.size(); ++k) {
+      out[k].first = halo.send_ranks()[sends[k]];
+      out[k].second.reserve(halo.send_list(sends[k]).size());
+    }
+    return out;
+  };
+  auto near_out = make_out(local.near_sends);
+  auto far_out = make_out(local.far_sends);
   auto fill_payloads =
-      [&](const std::vector<std::pair<std::uint32_t, std::vector<std::uint32_t>>>&
-              sends,
+      [&](const std::vector<std::uint32_t>& sends,
           std::vector<std::pair<std::uint32_t, std::vector<CoordMsg>>>& out) {
         for (std::size_t k = 0; k < sends.size(); ++k) {
           auto& payload = out[k].second;
           payload.clear();
-          for (std::uint32_t i : sends[k].second) {
+          for (std::uint32_t i : halo.send_list(sends[k])) {
             payload.push_back({local.owned[i], px[i], py[i]});
           }
         }
@@ -493,18 +430,17 @@ void smooth_level(comm::Comm& sub, LevelLocal& local, const CsrGraph& g,
                              beta_mass[me] - mass[i]) *
              mass[i];
       }
-      const std::uint32_t begin = nbr_off[i];
-      const std::uint32_t deg = nbr_off[i + 1] - begin;
+      const std::size_t begin = halo.arc_begin(i);
+      const auto deg = static_cast<std::uint32_t>(halo.arc_begin(i + 1) - begin);
       arc_work += static_cast<double>(deg);
       // Gather pass: neighbour coordinates (owned exact, ghosts clamped
       // into the L1-nearest neighbouring sub-domain — the paper's ghost
       // rule) into dense scratch.
       for (std::uint32_t k = 0; k < deg; ++k) {
-        std::uint32_t r = nbr_ref[begin + k];
-        if ((r & kGhostBit) != 0) {
-          r &= ~kGhostBit;
-          ux[k] = gx[r];
-          uy[k] = gy[r];
+        const std::uint32_t r = slot[begin + k];
+        if (r >= owned_n) {
+          ux[k] = gx[r - owned_n];
+          uy[k] = gy[r - owned_n];
         } else {
           ux[k] = px[r];
           uy[k] = py[r];
@@ -705,7 +641,7 @@ LevelLocal restore_level(comm::Comm& sub, const EmbedCheckpoint& ckpt,
   // directory is shared — so each rank publishes only its own entries
   // (distinct indices; every vertex has exactly one owner in [0, pl),
   // and all of those ranks are active here), and the barrier below
-  // makes the completed directory visible before build_halo reads it.
+  // makes the completed directory visible before enter_level reads it.
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     const std::uint32_t cell = init.grid->cell_index(coords[v]);
     if (cell == sub.rank()) {
@@ -776,9 +712,8 @@ RankEmbedding lattice_embed(comm::Comm& world, EmbedWorkspace& workspace,
         // One bulk snapshot of the completed directory (restore_level
         // barriers before returning) instead of a per-vertex read.
         const std::vector<std::uint32_t> owner_now = owner.snapshot(sub);
-        build_halo(
-            local, g, [&](VertexId u) { return owner_now[u]; }, sub.rank(),
-            sub);
+        enter_level(
+            local, g, [&](VertexId u) { return owner_now[u]; }, sub);
       } else if (lvl == coarsest) {
         // Deterministic random initial embedding in the unit box; every
         // rank derives the same positions, so ownership needs no
@@ -815,9 +750,8 @@ RankEmbedding lattice_embed(comm::Comm& world, EmbedWorkspace& workspace,
         }
         sub.add_compute(static_cast<double>(g.num_vertices()));
         local = std::move(init);
-        build_halo(
-            local, g, [&](VertexId u) { return coarse_owner[u]; }, sub.rank(),
-            sub);
+        enter_level(
+            local, g, [&](VertexId u) { return coarse_owner[u]; }, sub);
         smooth_level(sub, local, g, opt, opt.coarsest_iterations,
                      /*initial_step_factor=*/2.0, /*final_step_fraction=*/1e-3);
       } else {
@@ -919,9 +853,8 @@ RankEmbedding lattice_embed(comm::Comm& world, EmbedWorkspace& workspace,
         local = std::move(next);
         // Bulk snapshot, same reasoning as the resume path above.
         const std::vector<std::uint32_t> owner_now = owner.snapshot(sub);
-        build_halo(
-            local, g, [&](VertexId u) { return owner_now[u]; }, sub.rank(),
-            sub);
+        enter_level(
+            local, g, [&](VertexId u) { return owner_now[u]; }, sub);
         smooth_level(sub, local, g, opt, opt.smooth_iterations,
                      /*initial_step_factor=*/0.5, /*final_step_fraction=*/0.05);
       }
@@ -940,9 +873,9 @@ RankEmbedding lattice_embed(comm::Comm& world, EmbedWorkspace& workspace,
   if (world.rank() < p_at(0)) {
     result.owned = std::move(local.owned);
     result.pos = std::move(local.pos);
-    result.ghost_ids = std::move(local.ghost_ids);
+    result.ghost_ids = local.halo.ghosts();
     result.ghost_pos = std::move(local.ghost_pos);
-    result.ghost_owner = std::move(local.ghost_owner);
+    result.ghost_owner = local.halo.ghost_owners();
     auto [rows, cols] = grid_shape(p_at(0));
     result.grid_rows = rows;
     result.grid_cols = cols;

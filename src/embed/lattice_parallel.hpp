@@ -101,11 +101,11 @@ class EmbedWorkspace {
 
 /// This rank's slice of the finest-level embedding.
 struct RankEmbedding {
-  std::vector<graph::VertexId> owned;  // global vertex ids, level 0
+  std::vector<graph::VertexId> owned;  // sorted global vertex ids, level 0
   std::vector<geom::Vec2> pos;         // aligned with owned
-  /// Halo: neighbour vertices owned elsewhere, with their exact final
-  /// positions (refreshed once after the last smoothing iteration so the
-  /// partitioning stage sees a consistent embedding).
+  /// Halo: neighbour vertices owned elsewhere, sorted, with their exact
+  /// final positions (refreshed once after the last smoothing iteration
+  /// so the partitioning stage sees a consistent embedding).
   std::vector<graph::VertexId> ghost_ids;
   std::vector<geom::Vec2> ghost_pos;
   std::vector<std::uint32_t> ghost_owner;  // owning rank per ghost

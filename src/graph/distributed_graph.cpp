@@ -1,6 +1,8 @@
 #include "graph/distributed_graph.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <numeric>
 
 #include "support/assert.hpp"
 
@@ -24,47 +26,107 @@ VertexId block_begin(std::uint32_t rank, VertexId n, std::uint32_t p) {
   return extra * (base + 1) + (rank - extra) * base;
 }
 
+Halo::Halo(const CsrGraph& g, std::span<const VertexId> owned) {
+  SP_ASSERT_MSG(std::adjacent_find(owned.begin(), owned.end(),
+                                   std::greater_equal<>()) == owned.end(),
+                "owned vertices must be sorted and unique");
+  const auto n_owned = static_cast<std::uint32_t>(owned.size());
+  // Slot per vertex: owned index, ghost index + n_owned, kGhost for a
+  // ghost not yet numbered, or kNone outside the halo.
+  constexpr std::uint32_t kNone = ~0u;
+  constexpr std::uint32_t kGhost = kNone - 1;
+  std::vector<std::uint32_t> slot_of(g.num_vertices(), kNone);
+  arc_begin_.resize(owned.size() + 1);
+  for (std::uint32_t i = 0; i < n_owned; ++i) {
+    slot_of[owned[i]] = i;
+    arc_begin_[i + 1] = arc_begin_[i] + g.degree(owned[i]);
+  }
+  for (VertexId v : owned) {
+    for (VertexId u : g.neighbors(v)) {
+      if (slot_of[u] == kNone) slot_of[u] = kGhost;
+    }
+  }
+  // Numbering the ghosts in vertex order sorts them.
+  for (VertexId u = 0; u < g.num_vertices(); ++u) {
+    if (slot_of[u] == kGhost) {
+      slot_of[u] = n_owned + static_cast<std::uint32_t>(ghosts_.size());
+      ghosts_.push_back(u);
+    }
+  }
+  ghost_lookup_.reserve(ghosts_.size());
+  for (VertexId j = 0; j < ghosts_.size(); ++j) ghost_lookup_[ghosts_[j]] = j;
+  slot_.reserve(arc_begin_.back());
+  for (VertexId v : owned) {
+    for (VertexId u : g.neighbors(v)) slot_.push_back(slot_of[u]);
+  }
+}
+
+void Halo::link_send_lists() {
+  // List index per owner rank, in ascending rank order.
+  constexpr std::uint32_t kNone = ~0u;
+  std::vector<std::uint32_t> list_of;
+  for (std::uint32_t owner : ghost_owner_) {
+    if (owner >= list_of.size()) list_of.resize(owner + 1, kNone);
+    list_of[owner] = 0;
+  }
+  for (std::uint32_t r = 0; r < list_of.size(); ++r) {
+    if (list_of[r] == kNone) continue;
+    list_of[r] = static_cast<std::uint32_t>(send_ranks_.size());
+    send_ranks_.push_back(r);
+  }
+  // Owned vertices ascend with i, so each list is built ascending; last[k]
+  // keeps a vertex with several arcs into rank k on its list once.
+  const std::uint32_t n_owned = num_owned();
+  std::vector<std::vector<std::uint32_t>> lists(send_ranks_.size());
+  std::vector<std::uint32_t> last(send_ranks_.size(), kNone);
+  for (std::uint32_t i = 0; i < n_owned; ++i) {
+    for (std::uint32_t slot : slots_of(i)) {
+      if (slot < n_owned) continue;
+      const std::uint32_t k = list_of[ghost_owner_[slot - n_owned]];
+      if (last[k] != i) {
+        last[k] = i;
+        lists[k].push_back(i);
+      }
+    }
+  }
+  for (const auto& list : lists) {
+    send_owned_.insert(send_owned_.end(), list.begin(), list.end());
+    send_begin_.push_back(send_owned_.size());
+  }
+}
+
+VertexId Halo::ghost_index(VertexId global) const {
+  auto it = ghost_lookup_.find(global);
+  return it == ghost_lookup_.end() ? kInvalidVertex : it->second;
+}
+
+namespace {
+
+std::vector<VertexId> block_ids(VertexId begin, VertexId end) {
+  std::vector<VertexId> ids(end - begin);
+  std::iota(ids.begin(), ids.end(), begin);
+  return ids;
+}
+
+}  // namespace
+
 LocalView::LocalView(const CsrGraph& g, std::uint32_t rank, std::uint32_t nranks)
     : graph_(&g),
       rank_(rank),
       nranks_(nranks),
       begin_(block_begin(rank, g.num_vertices(), nranks)),
-      end_(block_begin(rank + 1, g.num_vertices(), nranks)) {
+      end_(block_begin(rank + 1, g.num_vertices(), nranks)),
+      halo_(g, block_ids(begin_, end_), [&](VertexId u) {
+        return block_owner(u, g.num_vertices(), nranks);
+      }) {
   SP_ASSERT(rank < nranks);
-  const VertexId n = g.num_vertices();
   for (VertexId local = 0; local < num_local(); ++local) {
-    bool is_boundary = false;
-    for (VertexId v : neighbors(local)) {
-      if (!owns(v)) {
-        ghosts_.push_back(v);
-        is_boundary = true;
-      }
+    auto slots = halo_.slots_of(local);
+    if (std::any_of(slots.begin(), slots.end(),
+                    [&](std::uint32_t s) { return s >= num_local(); })) {
+      boundary_.push_back(local);
     }
-    if (is_boundary) boundary_.push_back(local);
   }
-  std::sort(ghosts_.begin(), ghosts_.end());
-  ghosts_.erase(std::unique(ghosts_.begin(), ghosts_.end()), ghosts_.end());
-  ghost_lookup_.reserve(ghosts_.size());
-  for (VertexId i = 0; i < ghosts_.size(); ++i) ghost_lookup_[ghosts_[i]] = i;
-
-  // Group ghosts by owner rank.
-  std::uint32_t current_rank = nranks;  // sentinel
-  for (VertexId ghost : ghosts_) {
-    std::uint32_t owner = block_owner(ghost, n, nranks);
-    if (owner != current_rank) {
-      neighbor_ranks_.push_back(owner);
-      ghosts_by_rank_.emplace_back();
-      current_rank = owner;
-    }
-    ghosts_by_rank_.back().push_back(ghost);
-  }
-  // Ghosts are sorted by id and block ownership is monotone in id, so
-  // neighbor_ranks_ is already sorted and unique.
-}
-
-VertexId LocalView::ghost_index(VertexId global) const {
-  auto it = ghost_lookup_.find(global);
-  return it == ghost_lookup_.end() ? kInvalidVertex : it->second;
 }
 
 }  // namespace sp::graph

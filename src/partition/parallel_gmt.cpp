@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 #include "geometry/sphere.hpp"
 #include "obs/span.hpp"
+#include "partition/distributed_cut.hpp"
 #include "refine/fm.hpp"
 #include "support/assert.hpp"
 #include "support/random.hpp"
@@ -20,44 +20,19 @@ using graph::Weight;
 
 namespace {
 
-/// The owned vertices' arcs, each resolved once to an index into the
-/// combined (owned, ghost) order: r < owned.size() names owned vertex r,
-/// otherwise ghost r - owned.size().
-struct ResolvedArcs {
-  std::unordered_map<VertexId, std::uint32_t> local_of;
-  std::unordered_map<VertexId, std::uint32_t> ghost_of;
-  std::vector<std::size_t> off;  // owned vertex i's arcs: [off[i], off[i+1])
-  std::vector<std::uint32_t> ref;
-};
-
-ResolvedArcs resolve_arcs(const CsrGraph& g, const embed::RankEmbedding& emb) {
-  const auto n_local = static_cast<std::uint32_t>(emb.owned.size());
-  ResolvedArcs arcs;
-  arcs.local_of.reserve(n_local);
-  for (std::uint32_t i = 0; i < n_local; ++i) arcs.local_of[emb.owned[i]] = i;
-  arcs.ghost_of.reserve(emb.ghost_ids.size());
-  for (std::uint32_t i = 0; i < emb.ghost_ids.size(); ++i) {
-    arcs.ghost_of[emb.ghost_ids[i]] = i;
-  }
-  arcs.off.assign(n_local + 1, 0);
-  for (std::uint32_t i = 0; i < n_local; ++i) {
-    arcs.off[i + 1] = arcs.off[i] + g.degree(emb.owned[i]);
-  }
-  arcs.ref.resize(arcs.off[n_local]);
-  for (std::uint32_t i = 0; i < n_local; ++i) {
-    std::uint32_t* out = arcs.ref.data() + arcs.off[i];
-    for (VertexId u : g.neighbors(emb.owned[i])) {
-      auto it_local = arcs.local_of.find(u);
-      if (it_local != arcs.local_of.end()) {
-        *out++ = it_local->second;
-      } else {
-        auto it_ghost = arcs.ghost_of.find(u);
-        SP_ASSERT(it_ghost != arcs.ghost_of.end());
-        *out++ = n_local + it_ghost->second;
-      }
-    }
-  }
-  return arcs;
+/// The embedding's halo. The embedding's ghosts are sorted, so they are
+/// the halo's ghosts in the order the halo asks for their owners, and the
+/// halo's ghost slots index emb.ghost_ids and emb.ghost_pos directly.
+graph::Halo embedding_halo(const CsrGraph& g, const embed::RankEmbedding& emb) {
+  std::size_t next = 0;
+  graph::Halo halo(g, emb.owned, [&](VertexId u) {
+    SP_ASSERT_MSG(next < emb.ghost_ids.size() && emb.ghost_ids[next] == u,
+                  "the embedding's ghosts are not the owned vertices' "
+                  "non-owned neighbours");
+    return emb.ghost_owner[next++];
+  });
+  SP_ASSERT(next == emb.ghost_ids.size());
+  return halo;
 }
 
 /// Side bytes of one try in the combined (owned, ghost) order.
@@ -86,78 +61,6 @@ std::vector<std::uint32_t> sample_indices(std::size_t n, std::size_t quota,
     out.push_back(static_cast<std::uint32_t>(rng.below(n)));
   }
   return out;
-}
-
-/// Exact distributed cut of a side assignment: one halo exchange of owned
-/// sides plus one reduction.
-Weight distributed_cut(comm::Comm& comm, const CsrGraph& g,
-                       const embed::RankEmbedding& emb,
-                       const ResolvedArcs& arcs,
-                       std::span<const std::uint8_t> side) {
-  const std::size_t n_local = emb.owned.size();
-  SP_ASSERT(side.size() == n_local);
-
-  // Who ghosts my vertices: owner(u) for every ghost u adjacent to owned v
-  // needs (v, side_v). Deduplicate per destination.
-  struct SideMsg {
-    VertexId id;
-    std::uint32_t side;
-  };
-  std::vector<std::vector<SideMsg>> by_dest(comm.nranks());
-  std::vector<std::uint32_t> last_sent(n_local, comm.rank());
-  for (std::size_t i = 0; i < n_local; ++i) {
-    for (std::size_t a = arcs.off[i]; a < arcs.off[i + 1]; ++a) {
-      if (arcs.ref[a] < n_local) continue;
-      std::uint32_t dest = emb.ghost_owner[arcs.ref[a] - n_local];
-      if (dest == last_sent[i]) continue;  // consecutive-dup filter
-      by_dest[dest].push_back({emb.owned[i], side[i]});
-      last_sent[i] = dest;
-    }
-  }
-  std::vector<std::pair<std::uint32_t, std::vector<SideMsg>>> out;
-  for (std::uint32_t dest = 0; dest < comm.nranks(); ++dest) {
-    if (dest == comm.rank() || by_dest[dest].empty()) continue;
-    auto& list = by_dest[dest];
-    std::sort(list.begin(), list.end(),
-              [](const SideMsg& a, const SideMsg& b) { return a.id < b.id; });
-    list.erase(std::unique(list.begin(), list.end(),
-                           [](const SideMsg& a, const SideMsg& b) {
-                             return a.id == b.id;
-                           }),
-               list.end());
-    out.emplace_back(dest, std::move(list));
-  }
-  auto in = comm.exchange_typed(out);
-  // Sides in the combined (owned, ghost) order; kUnknown marks a ghost the
-  // halo exchange did not deliver.
-  constexpr std::uint8_t kUnknown = 0xFF;
-  std::vector<std::uint8_t> side_all(side.begin(), side.end());
-  side_all.resize(n_local + emb.ghost_ids.size(), kUnknown);
-  for (const auto& [src, payload] : in) {
-    (void)src;
-    for (const SideMsg& msg : payload) {
-      auto it = arcs.ghost_of.find(msg.id);
-      if (it != arcs.ghost_of.end()) {
-        side_all[n_local + it->second] = static_cast<std::uint8_t>(msg.side);
-      }
-    }
-  }
-
-  double cut2 = 0.0;
-  double work = 0.0;
-  for (std::size_t i = 0; i < n_local; ++i) {
-    auto ws = g.edge_weights_of(emb.owned[i]);
-    const std::uint32_t* ref = arcs.ref.data() + arcs.off[i];
-    work += static_cast<double>(ws.size());
-    for (std::size_t k = 0; k < ws.size(); ++k) {
-      const std::uint8_t su = side_all[ref[k]];
-      SP_ASSERT_MSG(su != kUnknown, "ghost side missing in halo exchange");
-      if (su != side[i]) cut2 += static_cast<double>(ws[k]);
-    }
-  }
-  comm.add_compute(work);
-  double total = comm.allreduce(cut2, comm::ReduceOp::kSum);
-  return static_cast<Weight>(std::llround(total / 2.0));
 }
 
 struct StripRecord {
@@ -301,7 +204,7 @@ ParallelGmtResult parallel_gmt(comm::Comm& comm, const CsrGraph& g,
   }
 
   // ---- Local cut and balance contributions; one reduction picks best. ----
-  const ResolvedArcs arcs = resolve_arcs(g, emb);
+  const graph::Halo halo = embedding_halo(g, emb);
   std::vector<std::uint8_t> side_all;  // one try's sides, (owned, ghost)
   std::vector<double> contrib(tries * 3, 0.0);  // (cut2, w0, w1) per try
   double arc_work = 0.0;
@@ -313,10 +216,10 @@ ParallelGmtResult parallel_gmt(comm::Comm& comm, const CsrGraph& g,
       contrib[3 * t + (side_v != 0 ? 2 : 1)] +=
           static_cast<double>(g.vertex_weight(v));
       auto ws = g.edge_weights_of(v);
-      const std::uint32_t* ref = arcs.ref.data() + arcs.off[i];
+      auto slots = halo.slots_of(i);
       arc_work += static_cast<double>(ws.size());
       for (std::size_t k = 0; k < ws.size(); ++k) {
-        if (side_v != side_all[ref[k]]) {
+        if (side_v != side_all[slots[k]]) {
           contrib[3 * t] += static_cast<double>(ws[k]);  // counted twice total
         }
       }
@@ -351,8 +254,8 @@ ParallelGmtResult parallel_gmt(comm::Comm& comm, const CsrGraph& g,
   sides_of_try(s[best_t], s_ghost[best_t], threshold[best_t], side_all);
   double local_boundary = 0.0;
   for (std::size_t i = 0; i < n_local; ++i) {
-    for (std::size_t a = arcs.off[i]; a < arcs.off[i + 1]; ++a) {
-      if (side_all[i] != side_all[arcs.ref[a]]) {
+    for (std::uint32_t slot : halo.slots_of(i)) {
+      if (side_all[i] != side_all[slot]) {
         local_boundary += 1.0;
         break;
       }
@@ -458,9 +361,10 @@ ParallelGmtResult parallel_gmt(comm::Comm& comm, const CsrGraph& g,
   auto flips = comm.broadcast_vec(std::span<const VertexId>(flipped), 0);
   delta_cut = comm.broadcast(delta_cut, 0);
   for (VertexId v : flips) {
-    auto it = arcs.local_of.find(v);
-    if (it != arcs.local_of.end()) {
-      result.side[it->second] = static_cast<std::uint8_t>(1 - result.side[it->second]);
+    auto it = std::lower_bound(emb.owned.begin(), emb.owned.end(), v);
+    if (it != emb.owned.end() && *it == v) {
+      auto& side_v = result.side[static_cast<std::size_t>(it - emb.owned.begin())];
+      side_v = static_cast<std::uint8_t>(1 - side_v);
     }
   }
   result.cut = static_cast<Weight>(std::llround(best_cut + delta_cut));
@@ -468,7 +372,7 @@ ParallelGmtResult parallel_gmt(comm::Comm& comm, const CsrGraph& g,
       comm.broadcast(static_cast<std::uint64_t>(result.strip_size), 0));
   // The strip FM delta is exact only for edges inside the shipped collar;
   // recompute the true cut with one halo exchange + reduction.
-  result.cut = distributed_cut(comm, g, emb, arcs, result.side);
+  result.cut = distributed_cut(comm, g, emb.owned, halo, result.side);
   obs::gauge(comm, "partition/strip_size",
              static_cast<double>(result.strip_size));
   obs::gauge(comm, "partition/strip_flips", static_cast<double>(flips.size()));

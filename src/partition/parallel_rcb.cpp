@@ -2,17 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
+#include <numeric>
 
-#include "support/assert.hpp"
-#include "support/random.hpp"
+#include "partition/distributed_cut.hpp"
+#include "partition/geometric_mesh.hpp"
 
 namespace sp::partition {
 
 using geom::Vec2;
 using graph::LocalView;
 using graph::VertexId;
-using graph::Weight;
 
 namespace {
 
@@ -67,7 +66,6 @@ ParallelRcbResult parallel_rcb(comm::Comm& comm, const LocalView& view,
                                std::span<const Vec2> coords,
                                const ParallelRcbOptions& opt) {
   const VertexId n_local = view.num_local();
-  const VertexId n = view.global_graph().num_vertices();
   ParallelRcbResult result;
   result.side.assign(n_local, 0);
 
@@ -76,22 +74,18 @@ ParallelRcbResult parallel_rcb(comm::Comm& comm, const LocalView& view,
   // between them — we reproduce the whole recursion because that is what
   // the paper timed, while the reported cut comes from the first (2-way)
   // bisection.
-  auto jitter = [](VertexId global) {
-    return (static_cast<double>(hash64(global) >> 11) * 0x1.0p-53 - 0.5) *
-           1e-9;
-  };
   std::vector<PointMsg> points;
   points.reserve(n_local);
   for (VertexId i = 0; i < n_local; ++i) {
     VertexId global = view.to_global(i);
-    points.push_back({global, coords[global][0] + jitter(global),
-                      coords[global][1] + jitter(global)});
+    points.push_back({global, coords[global][0] + detail::jitter(global),
+                      coords[global][1] + detail::jitter(global)});
   }
 
   // ---- Phase 0: the bisection whose cut the paper reports. ----
   auto [threshold, axis] = median_phase(comm, points, opt.median_rounds);
   auto side_of = [&, threshold = threshold, axis = axis](VertexId global) {
-    double v = coords[global][axis] + jitter(global);
+    double v = coords[global][axis] + detail::jitter(global);
     return static_cast<std::uint8_t>(v > threshold ? 1 : 0);
   };
   for (VertexId i = 0; i < n_local; ++i) {
@@ -100,53 +94,10 @@ ParallelRcbResult parallel_rcb(comm::Comm& comm, const LocalView& view,
 
   // Cut evaluation: ghost sides through one halo exchange (sides of ghost
   // endpoints are not known locally in a real run).
-  {
-    struct SideMsg {
-      VertexId id;
-      std::uint32_t side;
-    };
-    const auto& nbr_ranks = view.neighbor_ranks();
-    std::vector<std::pair<std::uint32_t, std::vector<SideMsg>>> out;
-    for (std::uint32_t r : nbr_ranks) {
-      std::vector<SideMsg> payload;
-      for (VertexId local : view.boundary_locals()) {
-        VertexId global = view.to_global(local);
-        bool adjacent = false;
-        for (VertexId u : view.neighbors(local)) {
-          if (!view.owns(u) && graph::block_owner(u, n, view.nranks()) == r) {
-            adjacent = true;
-            break;
-          }
-        }
-        if (adjacent) payload.push_back({global, result.side[local]});
-      }
-      if (!payload.empty()) out.emplace_back(r, std::move(payload));
-    }
-    auto in = comm.exchange_typed(out);
-    std::unordered_map<VertexId, std::uint8_t> ghost_side;
-    for (const auto& [src, payload] : in) {
-      (void)src;
-      for (const SideMsg& msg : payload) {
-        ghost_side[msg.id] = static_cast<std::uint8_t>(msg.side);
-      }
-    }
-    double cut2 = 0.0;
-    double work = 0.0;
-    for (VertexId i = 0; i < n_local; ++i) {
-      auto nbrs = view.neighbors(i);
-      auto ws = view.edge_weights_of(i);
-      work += static_cast<double>(nbrs.size());
-      for (std::size_t k = 0; k < nbrs.size(); ++k) {
-        VertexId u = nbrs[k];
-        std::uint8_t su =
-            view.owns(u) ? result.side[view.to_local(u)] : ghost_side.at(u);
-        if (su != result.side[i]) cut2 += static_cast<double>(ws[k]);
-      }
-    }
-    comm.add_compute(work);
-    result.cut = static_cast<Weight>(
-        std::llround(comm.allreduce(cut2, comm::ReduceOp::kSum) / 2.0));
-  }
+  std::vector<VertexId> owned(n_local);
+  std::iota(owned.begin(), owned.end(), view.global_begin());
+  result.cut = distributed_cut(comm, view.global_graph(), owned, view.halo(),
+                               result.side);
 
   // ---- Phases 1..log2(P)-1: complete the P-way decomposition. ----
   // Migrate: lower-half ranks of the group take side-0 points, upper-half

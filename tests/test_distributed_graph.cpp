@@ -1,6 +1,8 @@
 // Tests for block distribution and per-rank local views.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "graph/distributed_graph.hpp"
 #include "graph/generators.hpp"
 
@@ -78,15 +80,26 @@ TEST(LocalView, NeighborRanksSortedAndGrouped) {
   for (std::size_t i = 1; i < ranks.size(); ++i) {
     EXPECT_LT(ranks[i - 1], ranks[i]);
   }
-  ASSERT_EQ(ranks.size(), view.ghosts_by_rank().size());
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < ranks.size(); ++i) {
-    for (VertexId ghost : view.ghosts_by_rank()[i]) {
-      EXPECT_EQ(block_owner(ghost, g.num_vertices(), 8), ranks[i]);
-      ++total;
+  // Each neighbour rank's send list holds, strictly ascending, exactly the
+  // owned vertices adjacent to one of that rank's vertices.
+  for (std::size_t k = 0; k < ranks.size(); ++k) {
+    std::vector<VertexId> expected;
+    for (VertexId local = 0; local < view.num_local(); ++local) {
+      for (VertexId u : view.neighbors(local)) {
+        if (!view.owns(u) && block_owner(u, g.num_vertices(), 8) == ranks[k]) {
+          expected.push_back(local);
+          break;
+        }
+      }
     }
+    auto list = view.halo().send_list(k);
+    EXPECT_FALSE(expected.empty());
+    EXPECT_EQ(std::vector<VertexId>(list.begin(), list.end()), expected);
   }
-  EXPECT_EQ(total, view.ghosts().size());
+  for (VertexId ghost : view.ghosts()) {
+    EXPECT_TRUE(std::binary_search(ranks.begin(), ranks.end(),
+                                   block_owner(ghost, g.num_vertices(), 8)));
+  }
 }
 
 TEST(LocalView, SingleRankOwnsEverything) {

@@ -260,6 +260,28 @@ TEST(FailureDetector, ScalaPartShrinksAwayExtremeStraggler) {
   EXPECT_EQ(r.stats.clocks, r2.stats.clocks);
 }
 
+TEST(FailureDetector, CoordinateEntryPointHonoursDetector) {
+  // sp_pg7nl_partition runs under the options' detector like the graph
+  // entry point: a straggler draws suspicions, absorbed here as retries
+  // with backoff, and the partition is the clean run's.
+  const auto d = graph::gen::delaunay(2000, 3);
+  core::ScalaPartOptions opt;
+  opt.nranks = 4;
+  const auto clean = core::sp_pg7nl_partition(d.graph, d.coords, opt);
+
+  auto dopt = opt;
+  dopt.faults.slow_rank(2, 50.0);
+  dopt.detector.deadline_seconds = 0.05 * clean.modeled_seconds;
+  dopt.detector.max_retries = 1000;
+  dopt.detector.backoff_seconds = 0.001 * clean.modeled_seconds;
+  const auto r = core::sp_pg7nl_partition(d.graph, d.coords, dopt);
+  EXPECT_GT(r.stats.detector.suspicions, 0u);
+  EXPECT_EQ(r.stats.detector.retries, r.stats.detector.suspicions);
+  EXPECT_EQ(r.stats.detector.escalations, 0u);
+  EXPECT_GT(r.stats.detector.wait_seconds, 0.0);
+  EXPECT_EQ(r.part.side, clean.part.side);
+}
+
 // ---------------------------------------------------------------------------
 // Recovery budget / structured exhaustion
 // ---------------------------------------------------------------------------

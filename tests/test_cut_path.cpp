@@ -53,18 +53,21 @@ TEST(CutPathPins, GeometricMeshG30AsymmetricSplit) {
   EXPECT_EQ(r.cut, 116);
 }
 
+// No padding: gtest prints each case's bytes into its listed name, and a
+// 32-bit `parts` left four uninitialised bytes there.
 struct KwayPin {
-  std::uint32_t parts;
+  std::uint64_t parts;
   std::uint64_t part_fp;
   graph::Weight cut;
 };
+static_assert(sizeof(KwayPin) == 24);
 
 class CutPathKwayPins : public ::testing::TestWithParam<KwayPin> {};
 
 TEST_P(CutPathKwayPins, KwayWithCoords) {
   const auto d = graph::gen::delaunay(4000, 2);
   core::KwayOptions opt;
-  opt.parts = GetParam().parts;
+  opt.parts = static_cast<std::uint32_t>(GetParam().parts);
   const auto r = core::kway_partition_with_coords(d.graph, d.coords, opt);
   EXPECT_EQ(fingerprint(r.part), GetParam().part_fp);
   EXPECT_EQ(r.total_cut, GetParam().cut);

@@ -1,6 +1,7 @@
 #include "analysis/invariants.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <unordered_map>
 #include <unordered_set>
@@ -232,10 +233,9 @@ Violations validate_distributed_graph(const CsrGraph& g,
     return out;
   }
   std::vector<std::vector<std::uint32_t>> nbr_ranks_of(nranks);
-  // Per rank: (destination, global ids sent there), and its ghosts.
-  std::vector<std::vector<std::pair<std::uint32_t, std::vector<VertexId>>>>
-      sent_to(nranks);
-  std::vector<std::vector<VertexId>> ghosts_of(nranks);
+  // (sender, receiver, vertex) per send-list entry, and (owner, holder,
+  // ghost) per ghost: the two sides of every halo exchange.
+  std::vector<std::array<VertexId, 3>> sent, held;
 
   VertexId expected_begin = 0;
   for (std::uint32_t r = 0; r < nranks && out.size() < 16; ++r) {
@@ -335,27 +335,32 @@ Violations validate_distributed_graph(const CsrGraph& g,
         break;
       }
     }
-    for (std::size_t k = 0; k < view.neighbor_ranks().size(); ++k) {
-      const std::uint32_t dest = view.neighbor_ranks()[k];
-      std::vector<VertexId> expected;
-      for (VertexId local : boundary) {
-        for (VertexId u : view.neighbors(local)) {
-          if (!view.owns(u) && graph::block_owner(u, n, nranks) == dest) {
-            expected.push_back(local);
-            break;
-          }
+    // (destination, local) per arc into a ghost, sorted and unique: the
+    // send lists in the halo's order.
+    std::vector<std::pair<std::uint32_t, VertexId>> sends, listed;
+    for (VertexId local : boundary) {
+      for (VertexId u : view.neighbors(local)) {
+        if (!view.owns(u)) {
+          sends.emplace_back(graph::block_owner(u, n, nranks), local);
         }
       }
-      auto list = halo.send_list(k);
-      if (!std::equal(list.begin(), list.end(), expected.begin(),
-                      expected.end())) {
-        add(out, who + "send list to rank " + std::to_string(dest) +
-                     " disagrees with recomputation");
-      }
-      for (VertexId& local : expected) local = view.to_global(local);
-      sent_to[r].emplace_back(dest, std::move(expected));
     }
-    ghosts_of[r] = ghosts;
+    std::sort(sends.begin(), sends.end());
+    sends.erase(std::unique(sends.begin(), sends.end()), sends.end());
+    for (std::size_t k = 0; k < view.neighbor_ranks().size(); ++k) {
+      for (std::uint32_t i : halo.send_list(k)) {
+        listed.emplace_back(view.neighbor_ranks()[k], i);
+      }
+    }
+    if (listed != sends) {
+      add(out, who + "send lists disagree with recomputation");
+    }
+    for (const auto& [dest, local] : sends) {
+      sent.push_back({r, dest, view.to_global(local)});
+    }
+    for (VertexId gid : ghosts) {
+      held.push_back({graph::block_owner(gid, n, nranks), r, gid});
+    }
     nbr_ranks_of[r] = view.neighbor_ranks();
   }
   if (expected_begin != n && out.empty()) {
@@ -363,8 +368,7 @@ Violations validate_distributed_graph(const CsrGraph& g,
                  std::to_string(expected_begin));
   }
 
-  // Neighbour symmetry: r sees s iff s sees r, and what r sends s is
-  // exactly the ghosts s holds of r's vertices (the halo exchange pattern
+  // Neighbour symmetry: r sees s iff s sees r (the halo exchange pattern
   // both sides must agree on).
   for (std::uint32_t r = 0; r < nranks && out.size() < 16; ++r) {
     for (std::uint32_t s : nbr_ranks_of[r]) {
@@ -375,16 +379,17 @@ Violations validate_distributed_graph(const CsrGraph& g,
                      " but not vice versa");
       }
     }
-    for (const auto& [s, sent] : sent_to[r]) {
-      std::vector<VertexId> held;
-      for (VertexId gid : ghosts_of[s]) {
-        if (graph::block_owner(gid, n, nranks) == r) held.push_back(gid);
-      }
-      if (sent != held) {
-        add(out, "rank " + std::to_string(r) + " sends rank " +
-                     std::to_string(s) + " other vertices than it ghosts");
-      }
-    }
+  }
+  // What r sends s is exactly the ghosts s holds of r's vertices. `sent`
+  // is built sorted. Checked only when nothing else failed, so that every
+  // rank was visited.
+  std::sort(held.begin(), held.end());
+  const auto [a, b] =
+      std::mismatch(sent.begin(), sent.end(), held.begin(), held.end());
+  if (out.empty() && (a != sent.end() || b != held.end())) {
+    const auto& t = a != sent.end() ? *a : *b;
+    add(out, "rank " + std::to_string(t[0]) + " sends rank " +
+                 std::to_string(t[1]) + " other vertices than it ghosts");
   }
   return out;
 }

@@ -52,8 +52,8 @@ class Halo {
   Halo() = default;
 
   /// `owned` must be sorted and unique; `owner_of(u)` is the rank owning
-  /// u, asked once for each ghost, in ascending order. Building takes
-  /// O(num_vertices) time and scratch.
+  /// ghost u. Building costs time and scratch in proportion to the owned
+  /// vertices and their arcs, not to the graph.
   template <typename OwnerOf>
   Halo(const CsrGraph& g, std::span<const VertexId> owned, OwnerOf&& owner_of)
       : Halo(g, owned) {
@@ -103,7 +103,7 @@ class Halo {
   std::vector<std::uint32_t> ghost_owner_;
   std::unordered_map<VertexId, VertexId> ghost_lookup_;
   std::vector<std::uint32_t> send_ranks_;
-  std::vector<std::size_t> send_begin_{0};
+  std::vector<std::size_t> send_begin_;
   std::vector<std::uint32_t> send_owned_;
 };
 

@@ -20,18 +20,18 @@ using graph::Weight;
 
 namespace {
 
-/// The embedding's halo. The embedding's ghosts are sorted, so they are
-/// the halo's ghosts in the order the halo asks for their owners, and the
-/// halo's ghost slots index emb.ghost_ids and emb.ghost_pos directly.
+/// The embedding's halo. Both list the same ghosts sorted, so the halo's
+/// ghost slots index emb.ghost_ids and emb.ghost_pos directly.
 graph::Halo embedding_halo(const CsrGraph& g, const embed::RankEmbedding& emb) {
-  std::size_t next = 0;
   graph::Halo halo(g, emb.owned, [&](VertexId u) {
-    SP_ASSERT_MSG(next < emb.ghost_ids.size() && emb.ghost_ids[next] == u,
-                  "the embedding's ghosts are not the owned vertices' "
-                  "non-owned neighbours");
-    return emb.ghost_owner[next++];
+    const auto it =
+        std::lower_bound(emb.ghost_ids.begin(), emb.ghost_ids.end(), u);
+    SP_ASSERT(it != emb.ghost_ids.end() && *it == u);
+    return emb.ghost_owner[it - emb.ghost_ids.begin()];
   });
-  SP_ASSERT(next == emb.ghost_ids.size());
+  SP_ASSERT_MSG(halo.ghosts() == emb.ghost_ids,
+                "the embedding's ghosts are not the owned vertices' "
+                "non-owned neighbours");
   return halo;
 }
 

@@ -1,7 +1,8 @@
 // The shared halo against a brute-force recomputation: ghosts and their
-// owners, arc slots and send lists under block and arbitrary ownership,
-// including one rank, ranks that own nothing and isolated vertices; and
-// the one distributed cut against graph::cut_size on every backend.
+// owners, arc slots and send lists under block, scattered and arbitrary
+// ownership, including one rank, ranks that own nothing, isolated
+// vertices, and ids and ranks wider than one byte; and the one
+// distributed cut against graph::cut_size on every backend.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -36,19 +37,28 @@ struct Ownership {
   std::vector<std::uint32_t> owner;  // per vertex
 };
 
-/// Block ownership, and arbitrary ownership that leaves the last rank
-/// without a vertex.
+/// Block ownership; block ownership with a quarter of the vertices moved
+/// to random ranks, so each rank owns a run of consecutive ids, then
+/// gaps and scattered ids; and arbitrary ownership that leaves the last
+/// rank without a vertex.
 std::vector<Ownership> ownerships(VertexId n, std::uint32_t p,
                                   std::uint64_t seed) {
   Ownership block{"block", p, std::vector<std::uint32_t>(n)};
   for (VertexId v = 0; v < n; ++v) block.owner[v] = block_owner(v, n, p);
-  Ownership arbitrary{"arbitrary", p, std::vector<std::uint32_t>(n)};
   Rng rng(seed);
+  Ownership scattered = block;
+  scattered.name = "scattered";
+  for (VertexId v = 0; v < n; ++v) {
+    if (rng.below(4) == 0) {
+      scattered.owner[v] = static_cast<std::uint32_t>(rng.below(p));
+    }
+  }
+  Ownership arbitrary{"arbitrary", p, std::vector<std::uint32_t>(n)};
   for (VertexId v = 0; v < n; ++v) {
     arbitrary.owner[v] =
         p == 1 ? 0 : static_cast<std::uint32_t>(rng.below(p - 1));
   }
-  return {block, arbitrary};
+  return {block, scattered, arbitrary};
 }
 
 std::vector<VertexId> owned_by(const Ownership& own, std::uint32_t r) {
@@ -144,6 +154,15 @@ TEST(HaloReference, MatchesBruteForce) {
         check_against_brute_force(g, own);
       }
     }
+  }
+}
+
+TEST(HaloReference, WideIdsAndManyRanks) {
+  // Vertex ids past 2^16 and owner ranks past 2^8, so the halo's radix
+  // sorts order by more than the lowest byte.
+  const CsrGraph g = random_graph(70000, 3000, 100, 6);
+  for (const Ownership& own : ownerships(g.num_vertices(), 300, 6)) {
+    check_against_brute_force(g, own);
   }
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -288,7 +289,7 @@ Violations validate_distributed_graph(const CsrGraph& g,
       }
     }
     for (VertexId i = 0; i < ghosts.size(); ++i) {
-      if (view.ghost_index(ghosts[i]) != i) {
+      if (view.halo().ghost_index(ghosts[i]) != i) {
         add(out, who + "ghost_index does not round-trip for ghost " +
                      std::to_string(ghosts[i]));
         break;
@@ -358,8 +359,10 @@ Violations validate_distributed_graph(const CsrGraph& g,
     for (const auto& [dest, local] : sends) {
       sent.push_back({r, dest, view.to_global(local)});
     }
-    for (VertexId gid : ghosts) {
-      held.push_back({graph::block_owner(gid, n, nranks), r, gid});
+    for (std::size_t k = 0; k < view.neighbor_ranks().size(); ++k) {
+      for (std::uint32_t j : halo.recv_list(k)) {
+        held.push_back({view.neighbor_ranks()[k], r, ghosts[j]});
+      }
     }
     nbr_ranks_of[r] = view.neighbor_ranks();
   }
@@ -380,16 +383,22 @@ Violations validate_distributed_graph(const CsrGraph& g,
       }
     }
   }
-  // What r sends s is exactly the ghosts s holds of r's vertices. `sent`
-  // is built sorted. Checked only when nothing else failed, so that every
-  // rank was visited.
-  std::sort(held.begin(), held.end());
+  // What r sends s is exactly what s's receive list from r names, in the
+  // same order: the position of each message names its ghost. `sent` is
+  // built sorted; `held` is grouped by (sender, receiver) keeping each
+  // receive list's order. The send lists match their recomputation, so
+  // this also checks the receive lists. Checked only when nothing else
+  // failed, so that every rank was visited.
+  std::stable_sort(held.begin(), held.end(), [](const auto& a, const auto& b) {
+    return std::tie(a[0], a[1]) < std::tie(b[0], b[1]);
+  });
   const auto [a, b] =
       std::mismatch(sent.begin(), sent.end(), held.begin(), held.end());
   if (out.empty() && (a != sent.end() || b != held.end())) {
     const auto& t = a != sent.end() ? *a : *b;
     add(out, "rank " + std::to_string(t[0]) + " sends rank " +
-                 std::to_string(t[1]) + " other vertices than it ghosts");
+                 std::to_string(t[1]) +
+                 " other vertices than its receive list names");
   }
   return out;
 }

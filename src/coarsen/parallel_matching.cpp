@@ -1,8 +1,5 @@
 #include "coarsen/parallel_matching.hpp"
 
-#include <unordered_map>
-#include <unordered_set>
-
 #include "support/assert.hpp"
 #include "support/random.hpp"
 
@@ -34,11 +31,18 @@ DistributedMatchingResult distributed_matching(comm::Comm& comm,
                                                std::uint64_t seed) {
   const VertexId n_local = view.num_local();
   const VertexId n = view.global_graph().num_vertices();
+  const graph::Halo& halo = view.halo();
   DistributedMatchingResult result;
   result.partner.assign(n_local, graph::kInvalidVertex);
 
-  // Ghost match-state: true once we learn a ghost is matched.
-  std::unordered_set<VertexId> ghost_matched;
+  // Ghost match-state per ghost slot: 1 once we learn the ghost is
+  // matched. Replies name ghosts by id; a reply naming none (a message
+  // corrupted in flight) marks nothing.
+  std::vector<std::uint8_t> ghost_matched(halo.ghosts().size(), 0);
+  auto mark_ghost_matched = [&](VertexId global) {
+    const VertexId j = halo.ghost_index(global);
+    if (j != graph::kInvalidVertex) ghost_matched[j] = 1;
+  };
   auto owner_of = [&](VertexId global) {
     return graph::block_owner(global, n, view.nranks());
   };
@@ -61,18 +65,19 @@ DistributedMatchingResult distributed_matching(comm::Comm& comm,
       VertexId v = view.to_global(local);
       auto nbrs = view.neighbors(local);
       auto ws = view.edge_weights_of(local);
+      auto slots = halo.slots_of(local);
       work += static_cast<double>(nbrs.size());
       VertexId best = graph::kInvalidVertex;
       Weight best_w = -1;
       for (std::size_t k = 0; k < nbrs.size(); ++k) {
         VertexId u = nbrs[k];
-        if (view.owns(u)) {
-          VertexId ul = view.to_local(u);
-          if (result.partner[ul] != graph::kInvalidVertex || pending[ul]) {
+        if (slots[k] < n_local) {
+          if (result.partner[slots[k]] != graph::kInvalidVertex ||
+              pending[slots[k]]) {
             continue;
           }
-        } else {
-          if (ghost_matched.count(u)) continue;
+        } else if (ghost_matched[slots[k] - n_local]) {
+          continue;
         }
         if (ws[k] > best_w || (ws[k] == best_w && u < best)) {
           best = u;
@@ -102,8 +107,10 @@ DistributedMatchingResult distributed_matching(comm::Comm& comm,
     }
     auto prop_in = comm.exchange_typed(prop_msgs);
 
-    // Phase 2: owners accept the best proposal per target.
-    std::unordered_map<VertexId, Proposal> best_prop;
+    // Phase 2: owners accept the best proposal per target, kept in the
+    // target's slot (`from` is kInvalidVertex while none arrived).
+    std::vector<Proposal> best_prop(
+        n_local, Proposal{graph::kInvalidVertex, graph::kInvalidVertex, 0});
     for (const auto& [src, payload] : prop_in) {
       (void)src;
       for (const Proposal& p : payload) {
@@ -111,12 +118,12 @@ DistributedMatchingResult distributed_matching(comm::Comm& comm,
         if (result.partner[local] != graph::kInvalidVertex || pending[local]) {
           continue;
         }
-        auto it = best_prop.find(p.to);
+        Proposal& best = best_prop[local];
         // Priority: heavier edge; tie-break by hashed proposer for fairness.
-        if (it == best_prop.end() ||
+        if (best.from == graph::kInvalidVertex ||
             std::make_pair(p.weight, hash64(p.from)) >
-                std::make_pair(it->second.weight, hash64(it->second.from))) {
-          best_prop[p.to] = p;
+                std::make_pair(best.weight, hash64(best.from))) {
+          best = p;
         }
       }
     }
@@ -124,19 +131,19 @@ DistributedMatchingResult distributed_matching(comm::Comm& comm,
     for (const auto& [src, payload] : prop_in) {
       (void)src;
       for (const Proposal& p : payload) {
-        auto it = best_prop.find(p.to);
-        bool accepted = it != best_prop.end() && it->second.from == p.from;
+        bool accepted = best_prop[view.to_local(p.to)].from == p.from;
         verdicts[owner_of(p.from)].push_back(
             {p.from, p.to, accepted ? 1u : 0u});
       }
     }
-    // Apply accepted proposals on the owner side. Each key writes its own
-    // distinct partner slot, so map order cannot leak into the result.
-    // sp-lint-allow(unordered-iter)
-    for (const auto& [target, prop] : best_prop) {
-      result.partner[view.to_local(target)] = prop.from;
+    // Apply accepted proposals on the owner side.
+    std::size_t targets = 0;
+    for (VertexId local = 0; local < n_local; ++local) {
+      if (best_prop[local].from == graph::kInvalidVertex) continue;
+      result.partner[local] = best_prop[local].from;
+      ++targets;
     }
-    comm.add_compute(static_cast<double>(best_prop.size()) * 4.0);
+    comm.add_compute(static_cast<double>(targets) * 4.0);
 
     std::vector<std::pair<std::uint32_t, std::vector<Verdict>>> verdict_msgs;
     for (std::uint32_t r = 0; r < comm.nranks(); ++r) {
@@ -150,14 +157,13 @@ DistributedMatchingResult distributed_matching(comm::Comm& comm,
         if (v.accepted) {
           SP_ASSERT(result.partner[local] == graph::kInvalidVertex);
           result.partner[local] = v.to;
-          ghost_matched.insert(v.to);
+          mark_ghost_matched(v.to);
         }
       }
     }
 
     // Phase 3: tell each halo neighbour which of the vertices it ghosts
     // got matched.
-    const graph::Halo& halo = view.halo();
     std::vector<std::pair<std::uint32_t, std::vector<MatchNote>>> note_msgs;
     for (std::size_t k = 0; k < halo.send_ranks().size(); ++k) {
       std::vector<MatchNote> notes;
@@ -173,7 +179,7 @@ DistributedMatchingResult distributed_matching(comm::Comm& comm,
     auto note_in = comm.exchange_typed(note_msgs);
     for (const auto& [src, payload] : note_in) {
       (void)src;
-      for (const MatchNote& nmsg : payload) ghost_matched.insert(nmsg.vertex);
+      for (const MatchNote& nmsg : payload) mark_ghost_matched(nmsg.vertex);
     }
   }
 

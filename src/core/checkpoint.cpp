@@ -97,16 +97,21 @@ PipelineCheckpoint load_checkpoint(const std::string& path) {
     ckpt.box.lo = geom::vec2(meta.box[0], meta.box[1]);
     ckpt.box.hi = geom::vec2(meta.box[2], meta.box[3]);
 
+    // The frames hold the checkpointed level, which has fewer vertices
+    // than the input graph when it is a coarse one, so they are checked
+    // against each other; a resuming run checks their count against its
+    // hierarchy.
     const std::vector<std::byte> coord_bytes = comm::read_frame(in, 1);
     const std::vector<std::byte> owner_bytes = comm::read_frame(in, 2);
-    if (coord_bytes.size() != ckpt.num_vertices * sizeof(geom::Vec2) ||
-        owner_bytes.size() != ckpt.num_vertices * sizeof(std::uint32_t)) {
+    const std::size_t level_n = owner_bytes.size() / sizeof(std::uint32_t);
+    if (owner_bytes.size() % sizeof(std::uint32_t) != 0 ||
+        coord_bytes.size() != level_n * sizeof(geom::Vec2)) {
       throw CheckpointError("'" + path +
-                            "': frame sizes disagree with vertex count");
+                            "': coordinate and owner frame sizes disagree");
     }
-    ckpt.coords.resize(ckpt.num_vertices);
-    ckpt.owner.resize(ckpt.num_vertices);
-    if (ckpt.num_vertices != 0) {
+    ckpt.coords.resize(level_n);
+    ckpt.owner.resize(level_n);
+    if (level_n != 0) {
       std::memcpy(ckpt.coords.data(), coord_bytes.data(), coord_bytes.size());
       std::memcpy(ckpt.owner.data(), owner_bytes.data(), owner_bytes.size());
     }

@@ -10,7 +10,7 @@
 #include "comm/engine.hpp"
 #include "core/checkpoint.hpp"
 #include "exec/executor.hpp"
-#include "graph/distributed_graph.hpp"
+#include "graph/halo_exchange.hpp"
 #include "obs/flight.hpp"
 #include "obs/span.hpp"
 #include "support/assert.hpp"
@@ -22,11 +22,6 @@ using graph::CsrGraph;
 using graph::VertexId;
 
 namespace {
-
-std::uint32_t p_at_level(std::uint32_t P, std::size_t level) {
-  std::uint32_t shift = 2 * static_cast<std::uint32_t>(level);
-  return shift >= 32 ? 1u : std::max(P >> shift, 1u);
-}
 
 StageBreakdown breakdown_from(const comm::RunStats& stats) {
   StageBreakdown b;
@@ -61,27 +56,17 @@ embed::RankEmbedding embedding_from_coords(comm::Comm& world,
     VertexId id;
     double x, y;
   };
-  std::vector<std::pair<std::uint32_t, std::vector<CoordMsg>>> out;
-  for (std::size_t k = 0; k < halo.send_ranks().size(); ++k) {
-    std::vector<CoordMsg> payload;
-    for (std::uint32_t i : halo.send_list(k)) {
-      payload.push_back({emb.owned[i], emb.pos[i][0], emb.pos[i][1]});
-    }
-    out.emplace_back(halo.send_ranks()[k], std::move(payload));
-  }
-  auto in = world.exchange_typed(out);
   emb.ghost_ids = halo.ghosts();
   emb.ghost_owner = halo.ghost_owners();
   emb.ghost_pos.assign(emb.ghost_ids.size(), geom::Vec2{});
-  for (const auto& [src, payload] : in) {
-    (void)src;
-    for (const CoordMsg& msg : payload) {
-      const VertexId gi = halo.ghost_index(msg.id);
-      if (gi != graph::kInvalidVertex) {
-        emb.ghost_pos[gi] = geom::vec2(msg.x, msg.y);
-      }
-    }
-  }
+  graph::exchange_ghosts(
+      world, halo,
+      [&](std::uint32_t i) {
+        return CoordMsg{emb.owned[i], emb.pos[i][0], emb.pos[i][1]};
+      },
+      [&](std::uint32_t j, const CoordMsg& msg) {
+        emb.ghost_pos[j] = geom::vec2(msg.x, msg.y);
+      });
   return emb;
 }
 
@@ -129,6 +114,16 @@ ScalaPartResult scalapart_run(const CsrGraph& g, const ScalaPartOptions& opt,
   hopt.rounds_per_level = opt.hierarchy_rounds;
   hopt.seed = opt.seed;
   coarsen::Hierarchy hierarchy = coarsen::Hierarchy::build(g, hopt);
+  if (preloaded != nullptr &&
+      (preloaded->level >= hierarchy.num_levels() ||
+       preloaded->coords.size() !=
+           hierarchy.graph_at(preloaded->level).num_vertices())) {
+    throw CheckpointError(
+        "checkpoint of level " + std::to_string(preloaded->level) + " with " +
+        std::to_string(preloaded->coords.size()) +
+        " vertices does not match the rebuilt hierarchy (" +
+        std::to_string(hierarchy.num_levels()) + " levels)");
+  }
   // Checkpoint: the coarsening hierarchy (every level's CSR, weight
   // conservation, exact cross-edge aggregation) and each level's halo
   // structure under the rank count that will process it. Validated once
@@ -139,7 +134,7 @@ ScalaPartResult scalapart_run(const CsrGraph& g, const ScalaPartOptions& opt,
     SP_ANALYSIS_CHECK("coarsen/distributed",
                       analysis::validate_distributed_graph(
                           hierarchy.graph_at(level),
-                          p_at_level(opt.nranks, level)));
+                          embed::ranks_at_level(opt.nranks, level)));
   }
 #endif
   embed::EmbedWorkspace workspace(hierarchy);
@@ -312,7 +307,7 @@ ScalaPartResult scalapart_run(const CsrGraph& g, const ScalaPartOptions& opt,
                level + 1 < hierarchy.num_levels(); ++level) {
             obs::Span level_span(world, obs::stages::kCoarsen, "level",
                                  static_cast<std::int32_t>(level));
-            const std::uint32_t pl = p_at_level(P, level);
+            const std::uint32_t pl = embed::ranks_at_level(P, level);
             const bool active = world.rank() < pl;
             comm::Comm sub = world.split(active ? 0u : 1u, world.rank());
             // This split completing means every rank finished the previous

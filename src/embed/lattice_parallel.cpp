@@ -7,7 +7,7 @@
 #include "geometry/quadtree.hpp"
 
 #include "embed/force_model.hpp"
-#include "graph/distributed_graph.hpp"
+#include "graph/halo_exchange.hpp"
 #include "obs/span.hpp"
 #include "support/assert.hpp"
 #include "support/random.hpp"
@@ -26,6 +26,11 @@ std::pair<std::uint32_t, std::uint32_t> grid_shape(std::uint32_t p) {
   while ((1u << log2p) < p) ++log2p;
   std::uint32_t rows = 1u << (log2p / 2);
   return {rows, p / rows};
+}
+
+std::uint32_t ranks_at_level(std::uint32_t p, std::size_t level) {
+  const auto shift = 2 * static_cast<std::uint32_t>(level);
+  return shift >= 32 ? 1u : std::max(p >> shift, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -102,19 +107,10 @@ struct LevelLocal {
   std::shared_ptr<geom::BalancedGrid> grid;
   std::vector<VertexId> owned;     // sorted global ids
   std::vector<Vec2> pos;           // aligned with owned
-  /// Ghosts, arc slots and send lists of `owned` (graph/distributed_graph.hpp).
+  /// Ghosts, arc slots, send and receive lists of `owned`
+  /// (graph/distributed_graph.hpp).
   graph::Halo halo;
   std::vector<Vec2> ghost_pos;     // aligned with halo.ghosts()
-
-  /// Near-neighbour send plan: indices into halo.send_ranks() of the
-  /// ranks on the 8-neighbourhood. Refreshed every iteration.
-  std::vector<std::uint32_t> near_sends;
-  /// The ranks beyond the 8-neighbourhood; refreshed only once per stale
-  /// block. (The paper uses an allgather here; targeted messages carry
-  /// the same information with volume proportional to the far-spanning
-  /// edges instead of P times that, which matters at reduced graph scale
-  /// where cells are tiny and many edges span far cells.)
-  std::vector<std::uint32_t> far_sends;
 };
 
 std::uint32_t grid_row(std::uint32_t rank, std::uint32_t cols) {
@@ -133,62 +129,51 @@ bool grid_near(std::uint32_t a, std::uint32_t b, std::uint32_t cols) {
 }
 
 /// After `owned`/`pos` and the level owner directory are final, derives
-/// the level's halo and splits its send lists into near and far ranks.
-/// `owner_of(u)` resolves a vertex's owning rank — an audited read of the
-/// shared directory on most paths, or a plain lookup when the caller
-/// holds a rank-local copy (the coarsest level, where every rank derives
-/// the full map itself). Charged as one unit per owned arc and vertex.
+/// the level's halo. `owner_of(u)` resolves a vertex's owning rank — an
+/// audited read of the shared directory on most paths, or a plain lookup
+/// when the caller holds a rank-local copy (the coarsest level, where
+/// every rank derives the full map itself). Charged as one unit per owned
+/// arc and vertex.
 template <typename OwnerFn>
 void enter_level(LevelLocal& local, const CsrGraph& g, OwnerFn&& owner_of,
                  comm::Comm& sub) {
   local.halo = graph::Halo(g, local.owned, owner_of);
-  local.near_sends.clear();
-  local.far_sends.clear();
-  const auto& ranks = local.halo.send_ranks();
-  for (std::uint32_t k = 0; k < ranks.size(); ++k) {
-    (grid_near(sub.rank(), ranks[k], local.cols) ? local.near_sends
-                                                 : local.far_sends)
-        .push_back(k);
-  }
   local.ghost_pos.assign(local.halo.ghosts().size(), Vec2{});
   sub.add_compute(static_cast<double>(local.halo.num_arcs()) +
                   static_cast<double>(local.owned.size()));
 }
 
-/// Brings every ghost position exactly up to date (near exchange + far
-/// allgather with the current positions). Called once after the finest
-/// level's smoothing so the geometric partitioning stage evaluates cuts on
-/// a consistent embedding.
+/// Counts the packets and bytes of a coordinate exchange to the halo
+/// peers `to_peer` picks, when a recorder is installed.
+template <typename Pick>
+void count_ghost_traffic(comm::Comm& sub, const graph::Halo& halo,
+                         Pick&& to_peer) {
+  if (!obs::active()) return;
+  std::size_t packets = 0;
+  std::size_t sent = 0;
+  for (std::size_t k = 0; k < halo.send_ranks().size(); ++k) {
+    if (!to_peer(halo.send_ranks()[k])) continue;
+    ++packets;
+    sent += halo.send_list(k).size();
+  }
+  obs::count(sub, "embed/ghost_msgs", static_cast<double>(packets));
+  obs::count(sub, "embed/ghost_bytes",
+             static_cast<double>(sent * sizeof(CoordMsg)));
+}
+
+/// Brings every ghost position exactly up to date with one exchange to
+/// all halo peers. Called once after the finest level's smoothing so the
+/// geometric partitioning stage evaluates cuts on a consistent embedding.
 void refresh_all_ghosts(comm::Comm& sub, LevelLocal& local) {
-  std::vector<std::pair<std::uint32_t, std::vector<CoordMsg>>> out;
-  for (const auto* sends : {&local.near_sends, &local.far_sends}) {
-    for (std::uint32_t k : *sends) {
-      std::vector<CoordMsg> payload;
-      auto list = local.halo.send_list(k);
-      payload.reserve(list.size());
-      for (std::uint32_t i : list) {
-        payload.push_back({local.owned[i], local.pos[i][0], local.pos[i][1]});
-      }
-      out.emplace_back(local.halo.send_ranks()[k], std::move(payload));
-    }
-  }
-  if (obs::active()) {
-    std::size_t sent = 0;
-    for (const auto& [dest, payload] : out) sent += payload.size();
-    obs::count(sub, "embed/ghost_msgs", static_cast<double>(out.size()));
-    obs::count(sub, "embed/ghost_bytes",
-               static_cast<double>(sent * sizeof(CoordMsg)));
-  }
-  auto in = sub.exchange_typed(out);
-  for (const auto& [src, payload] : in) {
-    (void)src;
-    for (const CoordMsg& msg : payload) {
-      const VertexId j = local.halo.ghost_index(msg.id);
-      if (j != graph::kInvalidVertex) {
+  count_ghost_traffic(sub, local.halo, graph::AllPeers{});
+  graph::exchange_ghosts(
+      sub, local.halo,
+      [&](std::uint32_t i) {
+        return CoordMsg{local.owned[i], local.pos[i][0], local.pos[i][1]};
+      },
+      [&](std::uint32_t j, const CoordMsg& msg) {
         local.ghost_pos[j] = geom::vec2(msg.x, msg.y);
-      }
-    }
-  }
+      });
 }
 
 /// One level's fixed-lattice smoothing.
@@ -279,40 +264,27 @@ void smooth_level(comm::Comm& sub, LevelLocal& local, const CsrGraph& g,
   }
   std::vector<double> ux(max_deg), uy(max_deg);  // gather scratch
 
-  // A ghost update stores the exact position and the clamped SoA mirror.
-  auto apply_ghost = [&](const CoordMsg& msg) {
-    const VertexId j = halo.ghost_index(msg.id);
-    if (j == graph::kInvalidVertex) return;
+  // The ghost exchanges send the current SoA positions; a ghost update
+  // stores the exact position and the clamped SoA mirror. The near
+  // exchange, to the 8-neighbourhood, runs every iteration; the far one,
+  // to the ranks beyond it, once per stale block. (The paper uses an
+  // allgather there; targeted messages carry the same information with
+  // volume proportional to the far-spanning edges instead of P times
+  // that, which matters at reduced graph scale where cells are tiny and
+  // many edges span far cells.)
+  const auto send = [&](std::uint32_t i) {
+    return CoordMsg{local.owned[i], px[i], py[i]};
+  };
+  const auto store = [&](std::uint32_t j, const CoordMsg& msg) {
     local.ghost_pos[j] = geom::vec2(msg.x, msg.y);
     Vec2 c = lattice.clamp_to_neighbor(my_row, my_col, local.ghost_pos[j]);
     gx[j] = c[0];
     gy[j] = c[1];
   };
-
-  // Outgoing payload buffers persist across iterations (steady-state
-  // supersteps refill them without allocating).
-  auto make_out = [&](const std::vector<std::uint32_t>& sends) {
-    std::vector<std::pair<std::uint32_t, std::vector<CoordMsg>>> out(
-        sends.size());
-    for (std::size_t k = 0; k < sends.size(); ++k) {
-      out[k].first = halo.send_ranks()[sends[k]];
-      out[k].second.reserve(halo.send_list(sends[k]).size());
-    }
-    return out;
+  const auto near = [&](std::uint32_t rank) {
+    return grid_near(me, rank, local.cols);
   };
-  auto near_out = make_out(local.near_sends);
-  auto far_out = make_out(local.far_sends);
-  auto fill_payloads =
-      [&](const std::vector<std::uint32_t>& sends,
-          std::vector<std::pair<std::uint32_t, std::vector<CoordMsg>>>& out) {
-        for (std::size_t k = 0; k < sends.size(); ++k) {
-          auto& payload = out[k].second;
-          payload.clear();
-          for (std::uint32_t i : halo.send_list(sends[k])) {
-            payload.push_back({local.owned[i], px[i], py[i]});
-          }
-        }
-      };
+  const auto far = [&](std::uint32_t rank) { return !near(rank); };
 
   // Vec2 snapshot and masses for the per-iteration tree; both stay empty
   // (and so does the tree) when the own-cell correction is used instead.
@@ -354,42 +326,16 @@ void smooth_level(comm::Comm& sub, LevelLocal& local, const CsrGraph& g,
                           : Vec2{};
       }
       // Far-spanning edge endpoints: one targeted exchange per block.
-      fill_payloads(local.far_sends, far_out);
-      if (obs::active()) {
-        std::size_t sent = 0;
-        for (const auto& [dest, payload] : far_out) sent += payload.size();
-        obs::count(sub, "embed/ghost_msgs",
-                   static_cast<double>(far_out.size()));
-        obs::count(sub, "embed/ghost_bytes",
-                   static_cast<double>(sent * sizeof(CoordMsg)));
-      }
-      auto far_in = sub.exchange_typed(far_out);
-      double far_work = 0;
-      for (const auto& [src, payload] : far_in) {
-        (void)src;
-        far_work += static_cast<double>(payload.size());
-        for (const CoordMsg& msg : payload) apply_ghost(msg);
-      }
-      sub.add_compute(far_work + static_cast<double>(local.pl));
+      count_ghost_traffic(sub, halo, far);
+      const std::size_t far_work =
+          graph::exchange_ghosts(sub, halo, send, store, far);
+      sub.add_compute(static_cast<double>(far_work) +
+                      static_cast<double>(local.pl));
     }
 
     // Nearest-neighbour boundary exchange (every iteration).
-    {
-      fill_payloads(local.near_sends, near_out);
-      if (obs::active()) {
-        std::size_t sent = 0;
-        for (const auto& [dest, payload] : near_out) sent += payload.size();
-        obs::count(sub, "embed/ghost_msgs",
-                   static_cast<double>(near_out.size()));
-        obs::count(sub, "embed/ghost_bytes",
-                   static_cast<double>(sent * sizeof(CoordMsg)));
-      }
-      auto in = sub.exchange_typed(near_out);
-      for (const auto& [src, payload] : in) {
-        (void)src;
-        for (const CoordMsg& msg : payload) apply_ghost(msg);
-      }
-    }
+    count_ghost_traffic(sub, halo, near);
+    graph::exchange_ghosts(sub, halo, send, store, near);
 
     // Inherited repulsion: force per unit mass on my cell's beta from all
     // other cells (paper eq. 1, vector form).
@@ -671,11 +617,6 @@ RankEmbedding lattice_embed(comm::Comm& world, EmbedWorkspace& workspace,
   const std::size_t coarsest = levels - 1;
   const coarsen::Hierarchy& hierarchy = workspace.hierarchy();
 
-  auto p_at = [&](std::size_t level) {
-    std::uint32_t shift = 2 * static_cast<std::uint32_t>(level);
-    return shift >= 32 ? 1u : std::max(P >> shift, 1u);
-  };
-
   bool resume = false;
   std::size_t start_level = coarsest;
   if (checkpoint != nullptr) {
@@ -695,7 +636,7 @@ RankEmbedding lattice_embed(comm::Comm& world, EmbedWorkspace& workspace,
   LevelLocal local;
 
   for (std::size_t lvl = start_level;; --lvl) {
-    const std::uint32_t pl = p_at(lvl);
+    const std::uint32_t pl = ranks_at_level(P, lvl);
     const bool active = world.rank() < pl;
     comm::Comm sub = world.split(active ? 0u : 1u, world.rank());
     const CsrGraph& g = hierarchy.graph_at(lvl);
@@ -870,13 +811,13 @@ RankEmbedding lattice_embed(comm::Comm& world, EmbedWorkspace& workspace,
   }
 
   RankEmbedding result;
-  if (world.rank() < p_at(0)) {
+  if (world.rank() < ranks_at_level(P, 0)) {
     result.owned = std::move(local.owned);
     result.pos = std::move(local.pos);
     result.ghost_ids = local.halo.ghosts();
     result.ghost_pos = std::move(local.ghost_pos);
     result.ghost_owner = local.halo.ghost_owners();
-    auto [rows, cols] = grid_shape(p_at(0));
+    auto [rows, cols] = grid_shape(ranks_at_level(P, 0));
     result.grid_rows = rows;
     result.grid_cols = cols;
     result.box = local.box;

@@ -163,4 +163,9 @@ std::vector<geom::Vec2> gather_embedding(comm::Comm& world,
 /// Grid shape used for P ranks: rows = 2^floor(log2(P)/2), cols = P/rows.
 std::pair<std::uint32_t, std::uint32_t> grid_shape(std::uint32_t p);
 
+/// Ranks that work on hierarchy level `level` when P ranks run the
+/// pipeline: each coarser level quarters them, down to one, so
+/// max(P >> 2·level, 1). Coarsening and embedding both use it.
+std::uint32_t ranks_at_level(std::uint32_t p, std::size_t level);
+
 }  // namespace sp::embed

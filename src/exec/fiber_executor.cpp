@@ -31,6 +31,22 @@
 #include <sanitizer/tsan_interface.h>
 #endif
 
+// AddressSanitizer likewise needs to know which stack is live: unaware
+// of a switch, its handling of a throw on a fiber stack takes the fiber
+// for an unknown stack and reports a stack-buffer-overflow in its own
+// code. Each switch is bracketed by start (naming the stack being
+// entered) and finish (on arrival, learning the stack that was left).
+#if defined(__SANITIZE_ADDRESS__)
+#define SP_EXEC_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define SP_EXEC_ASAN 1
+#endif
+#endif
+#ifdef SP_EXEC_ASAN
+#include <sanitizer/common_interface_defs.h>
+#endif
+
 namespace sp::exec::detail {
 
 namespace {
@@ -151,7 +167,15 @@ class FiberExecutor final : public Executor {
 #ifdef SP_EXEC_TSAN
     __tsan_switch_to_fiber(fibers_[r].tsan_fiber, 0);
 #endif
+#ifdef SP_EXEC_ASAN
+    void* fake_stack = nullptr;
+    __sanitizer_start_switch_fiber(&fake_stack, fibers_[r].stack.get(),
+                                   opt_.stack_bytes);
+#endif
     const int swap_rc = swapcontext(&scheduler_ctx_, &fibers_[r].ctx);
+#ifdef SP_EXEC_ASAN
+    __sanitizer_finish_switch_fiber(fake_stack, nullptr, nullptr);
+#endif
     SP_ASSERT(swap_rc == 0);
   }
 
@@ -159,7 +183,16 @@ class FiberExecutor final : public Executor {
 #ifdef SP_EXEC_TSAN
     __tsan_switch_to_fiber(scheduler_tsan_, 0);
 #endif
+#ifdef SP_EXEC_ASAN
+    void* fake_stack = nullptr;
+    __sanitizer_start_switch_fiber(&fake_stack, scheduler_stack_,
+                                   scheduler_stack_bytes_);
+#endif
     const int swap_rc = swapcontext(&fibers_[r].ctx, &scheduler_ctx_);
+#ifdef SP_EXEC_ASAN
+    __sanitizer_finish_switch_fiber(fake_stack, &scheduler_stack_,
+                                    &scheduler_stack_bytes_);
+#endif
     SP_ASSERT(swap_rc == 0);
     current_exec_ = this;  // restored for safety after resume
   }
@@ -167,9 +200,18 @@ class FiberExecutor final : public Executor {
   static void trampoline_() {
     FiberExecutor* exec = current_exec_;
     const std::uint32_t rank = exec->current_rank_;
+#ifdef SP_EXEC_ASAN
+    __sanitizer_finish_switch_fiber(nullptr, &exec->scheduler_stack_,
+                                    &exec->scheduler_stack_bytes_);
+#endif
     // The engine's rank wrapper catches everything; nothing escapes here.
     (*exec->body_)(rank);
     exec->finished_[rank] = true;
+#ifdef SP_EXEC_ASAN
+    // The fiber ends here: no fake stack to keep.
+    __sanitizer_start_switch_fiber(nullptr, exec->scheduler_stack_,
+                                   exec->scheduler_stack_bytes_);
+#endif
 #ifdef SP_EXEC_TSAN
     // Leave via explicit setcontext, not the uc_link return: the compiler
     // plants __tsan_func_exit at the return, and after the switch
@@ -187,6 +229,11 @@ class FiberExecutor final : public Executor {
   ucontext_t scheduler_ctx_{};
 #ifdef SP_EXEC_TSAN
   void* scheduler_tsan_ = nullptr;
+#endif
+#ifdef SP_EXEC_ASAN
+  // The scheduler's stack, as the last switch away from it reported.
+  const void* scheduler_stack_ = nullptr;
+  std::size_t scheduler_stack_bytes_ = 0;
 #endif
   std::uint32_t current_rank_ = 0;
   static thread_local FiberExecutor* current_exec_;

@@ -49,6 +49,25 @@ void sort_by_high_word(std::vector<std::uint64_t>& keys) {
   }
 }
 
+/// Splits (rank << 32 | item) keys, grouped by rank with the items in
+/// their wanted order, into per-rank lists: each rank once, ascending,
+/// the bounds of its list, and the items.
+void split_by_rank(const std::vector<std::uint64_t>& keys,
+                   std::vector<std::uint32_t>& ranks,
+                   std::vector<std::size_t>& begin,
+                   std::vector<std::uint32_t>& items) {
+  items.reserve(keys.size());
+  for (std::uint64_t key : keys) {
+    const auto rank = static_cast<std::uint32_t>(key >> 32);
+    if (ranks.empty() || ranks.back() != rank) {
+      ranks.push_back(rank);
+      begin.push_back(items.size());
+    }
+    items.push_back(static_cast<std::uint32_t>(key));
+  }
+  begin.push_back(items.size());
+}
+
 std::vector<VertexId> block_ids(VertexId begin, VertexId end) {
   std::vector<VertexId> ids(end - begin);
   std::iota(ids.begin(), ids.end(), begin);
@@ -97,11 +116,9 @@ Halo::Halo(const CsrGraph& g, std::span<const VertexId> owned) {
     }
     slot_[static_cast<std::uint32_t>(key)] = slot;
   }
-  ghost_lookup_.reserve(ghosts_.size());
-  for (VertexId j = 0; j < ghosts_.size(); ++j) ghost_lookup_[ghosts_[j]] = j;
 }
 
-void Halo::link_send_lists() {
+void Halo::link_peers() {
   // (owner rank, owned index) per arc into a ghost, sorted by rank. The
   // arcs are visited in owned order, so the owned indices ascend within
   // each rank, and dropping repeats sends each vertex once.
@@ -116,20 +133,25 @@ void Halo::link_send_lists() {
   }
   sort_by_high_word(to_rank);
   to_rank.erase(std::unique(to_rank.begin(), to_rank.end()), to_rank.end());
-  for (std::uint64_t pair : to_rank) {
-    const auto rank = static_cast<std::uint32_t>(pair >> 32);
-    if (send_ranks_.empty() || send_ranks_.back() != rank) {
-      send_ranks_.push_back(rank);
-      send_begin_.push_back(send_owned_.size());
-    }
-    send_owned_.push_back(static_cast<std::uint32_t>(pair));
+  split_by_rank(to_rank, send_ranks_, send_begin_, send_owned_);
+  // (owner rank, ghost index) per ghost, sorted by rank with the ghosts
+  // ascending. Every ghost is reached by an arc, so the owners are
+  // exactly the send ranks.
+  std::vector<std::uint64_t> from_rank(ghosts_.size());
+  for (std::uint32_t j = 0; j < ghosts_.size(); ++j) {
+    from_rank[j] = std::uint64_t{ghost_owner_[j]} << 32 | j;
   }
-  send_begin_.push_back(send_owned_.size());
+  sort_by_high_word(from_rank);
+  std::vector<std::uint32_t> owners;
+  split_by_rank(from_rank, owners, recv_begin_, recv_ghost_);
+  SP_ASSERT(owners == send_ranks_);
 }
 
 VertexId Halo::ghost_index(VertexId global) const {
-  auto it = ghost_lookup_.find(global);
-  return it == ghost_lookup_.end() ? kInvalidVertex : it->second;
+  const auto it = std::lower_bound(ghosts_.begin(), ghosts_.end(), global);
+  return it != ghosts_.end() && *it == global
+             ? static_cast<VertexId>(it - ghosts_.begin())
+             : kInvalidVertex;
 }
 
 LocalView::LocalView(const CsrGraph& g, std::uint32_t rank, std::uint32_t nranks)

@@ -6,7 +6,8 @@
 // redistributes vertices by lattice cell instead. Either way every
 // distributed step works on one structure, the Halo: the vertices a rank
 // owns, its ghosts (neighbours owned by other ranks), and the lists of
-// the nearest-neighbour exchange that refreshes them.
+// the nearest-neighbour exchange that refreshes them
+// (graph/halo_exchange.hpp).
 //
 // In this reproduction the underlying CsrGraph lives in shared memory, but
 // the algorithms only touch it through their owned vertices and the halo,
@@ -17,7 +18,6 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/csr_graph.hpp"
@@ -36,7 +36,7 @@ VertexId block_begin(std::uint32_t rank, VertexId n, std::uint32_t p);
 /// charges no modeled compute; callers charge what their model says.
 ///
 /// - Ghosts: the non-owned neighbours of owned vertices, sorted, with
-///   their owner ranks and a lookup from global id to ghost index.
+///   their owner ranks.
 /// - Arc slots: owned vertex i's arcs, in the graph's arc order, are
 ///   slots()[arc_begin(i) .. arc_begin(i+1)). A slot s < num_owned() names
 ///   owned vertex s, otherwise ghost s - num_owned() — the combined
@@ -47,6 +47,9 @@ VertexId block_begin(std::uint32_t rank, VertexId n, std::uint32_t p);
 ///   exactly these lists in this order; that order is what keeps the
 ///   messages, bytes and modeled clocks of all callers identical to the
 ///   per-caller halo code this replaced.
+/// - Receive lists: for each send rank, the ghosts it owns, ascending.
+///   That rank's send list to this one names the same vertices in the
+///   same order, so a received message's position names its ghost.
 class Halo {
  public:
   Halo() = default;
@@ -61,7 +64,7 @@ class Halo {
     for (std::size_t j = 0; j < ghosts_.size(); ++j) {
       ghost_owner_[j] = owner_of(ghosts_[j]);
     }
-    link_send_lists();
+    link_peers();
   }
 
   std::uint32_t num_owned() const {
@@ -71,7 +74,8 @@ class Halo {
   const std::vector<VertexId>& ghosts() const { return ghosts_; }
   /// Owning rank per ghost, aligned with ghosts().
   const std::vector<std::uint32_t>& ghost_owners() const { return ghost_owner_; }
-  /// Index of a global ghost id within ghosts(), or kInvalidVertex.
+  /// Index of a global ghost id within ghosts(), or kInvalidVertex: a
+  /// binary search, for messages addressed by id rather than by position.
   VertexId ghost_index(VertexId global) const;
 
   std::size_t arc_begin(std::size_t owned_index) const {
@@ -91,20 +95,26 @@ class Halo {
     return {send_owned_.data() + send_begin_[k],
             send_owned_.data() + send_begin_[k + 1]};
   }
+  /// Ghost indices owned by send_ranks()[k], ascending.
+  std::span<const std::uint32_t> recv_list(std::size_t k) const {
+    return {recv_ghost_.data() + recv_begin_[k],
+            recv_ghost_.data() + recv_begin_[k + 1]};
+  }
 
  private:
-  /// Ghosts, lookup and arc slots; the owners and send lists follow.
+  /// Ghosts and arc slots; the owners, send and receive lists follow.
   Halo(const CsrGraph& g, std::span<const VertexId> owned);
-  void link_send_lists();
+  void link_peers();
 
   std::vector<std::size_t> arc_begin_{0};
   std::vector<std::uint32_t> slot_;
   std::vector<VertexId> ghosts_;
   std::vector<std::uint32_t> ghost_owner_;
-  std::unordered_map<VertexId, VertexId> ghost_lookup_;
   std::vector<std::uint32_t> send_ranks_;
   std::vector<std::size_t> send_begin_;
   std::vector<std::uint32_t> send_owned_;
+  std::vector<std::size_t> recv_begin_;
+  std::vector<std::uint32_t> recv_ghost_;
 };
 
 /// Rank `rank`'s view of a block-distributed graph: its block of rows,
@@ -141,11 +151,6 @@ class LocalView {
   /// Sorted global ids of ghost vertices (non-owned neighbours of owned
   /// vertices).
   const std::vector<VertexId>& ghosts() const { return halo_.ghosts(); }
-
-  /// Index of a global ghost id within ghosts(), or kInvalidVertex.
-  VertexId ghost_index(VertexId global) const {
-    return halo_.ghost_index(global);
-  }
 
   /// Owned vertices with at least one non-owned neighbour (the paper's
   /// boundary set V~).

@@ -1,9 +1,9 @@
 #include "partition/distributed_cut.hpp"
 
 #include <cmath>
-#include <utility>
 #include <vector>
 
+#include "graph/halo_exchange.hpp"
 #include "support/assert.hpp"
 
 namespace sp::partition {
@@ -20,29 +20,17 @@ graph::Weight distributed_cut(comm::Comm& comm, const graph::CsrGraph& g,
     VertexId id;
     std::uint32_t side;
   };
-  std::vector<std::pair<std::uint32_t, std::vector<SideMsg>>> out;
-  for (std::size_t k = 0; k < halo.send_ranks().size(); ++k) {
-    std::vector<SideMsg> payload;
-    for (std::uint32_t i : halo.send_list(k)) {
-      payload.push_back({owned[i], side[i]});
-    }
-    out.emplace_back(halo.send_ranks()[k], std::move(payload));
-  }
-  auto in = comm.exchange_typed(out);
   // Sides in the combined (owned, ghost) order; kUnknown marks a ghost the
   // halo exchange did not deliver.
   constexpr std::uint8_t kUnknown = 0xFF;
   std::vector<std::uint8_t> side_all(side.begin(), side.end());
   side_all.resize(n_owned + halo.ghosts().size(), kUnknown);
-  for (const auto& [src, payload] : in) {
-    (void)src;
-    for (const SideMsg& msg : payload) {
-      const VertexId j = halo.ghost_index(msg.id);
-      if (j != graph::kInvalidVertex) {
+  graph::exchange_ghosts(
+      comm, halo,
+      [&](std::uint32_t i) { return SideMsg{owned[i], side[i]}; },
+      [&](std::uint32_t j, const SideMsg& msg) {
         side_all[n_owned + j] = static_cast<std::uint8_t>(msg.side);
-      }
-    }
-  }
+      });
 
   double cut2 = 0.0;
   for (std::size_t i = 0; i < n_owned; ++i) {

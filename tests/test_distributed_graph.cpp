@@ -50,17 +50,17 @@ TEST(LocalView, GhostsAreExactlyNonOwnedNeighbors) {
   LocalView view(g, 1, 4);
   for (VertexId ghost : view.ghosts()) {
     EXPECT_FALSE(view.owns(ghost));
-    EXPECT_NE(view.ghost_index(ghost), kInvalidVertex);
+    EXPECT_NE(view.halo().ghost_index(ghost), kInvalidVertex);
   }
   // Every non-owned neighbour of an owned vertex appears in ghosts.
   for (VertexId local = 0; local < view.num_local(); ++local) {
     for (VertexId u : view.neighbors(local)) {
       if (!view.owns(u)) {
-        EXPECT_NE(view.ghost_index(u), kInvalidVertex);
+        EXPECT_NE(view.halo().ghost_index(u), kInvalidVertex);
       }
     }
   }
-  EXPECT_EQ(view.ghost_index(view.to_global(0)), kInvalidVertex);
+  EXPECT_EQ(view.halo().ghost_index(view.to_global(0)), kInvalidVertex);
 }
 
 TEST(LocalView, BoundaryLocalsHaveExternalEdges) {

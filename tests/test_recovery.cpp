@@ -410,6 +410,39 @@ TEST_F(DurableCheckpoint, CrashMidRunThenColdRestartMatchesUninterrupted) {
   EXPECT_EQ(resumed.report.cut, ref.report.cut);
 }
 
+TEST_F(DurableCheckpoint, CrashAfterCoarseCheckpointThenColdRestartMatches) {
+  // Runs that die during the embedding, after a coarse level's checkpoint
+  // and before the finest level's: the file holds a level with fewer
+  // vertices than the input graph, and resuming from it still lands on
+  // the uninterrupted run's partition.
+  auto g = graph::gen::delaunay(1500, 9).graph;
+  core::ScalaPartOptions opt;
+  opt.nranks = 8;
+  const auto ref = core::scalapart_partition(g, opt);
+
+  for (std::uint64_t event : {400u, 420u, 440u, 460u, 480u}) {
+    SCOPED_TRACE("killed at event " + std::to_string(event));
+    std::remove(core::checkpoint_path(dir_).c_str());
+    auto crash = opt;
+    crash.checkpoint_dir = dir_;
+    crash.recover_on_failure = false;
+    crash.faults.kill_at_event(0, event);
+    EXPECT_THROW(core::scalapart_partition(g, crash), RankFailedError);
+
+    const auto ckpt = core::load_checkpoint(core::checkpoint_path(dir_));
+    EXPECT_GT(ckpt.level, 0u);
+    EXPECT_LT(ckpt.coords.size(), g.num_vertices());
+    EXPECT_EQ(ckpt.owner.size(), ckpt.coords.size());
+
+    auto resume = opt;
+    resume.checkpoint_dir = dir_;
+    const auto resumed = core::resume_from_checkpoint(g, resume);
+    EXPECT_TRUE(resumed.recovery.resumed_from_disk);
+    EXPECT_EQ(resumed.part.side, ref.part.side);
+    EXPECT_EQ(resumed.report.cut, ref.report.cut);
+  }
+}
+
 TEST_F(DurableCheckpoint, RejectsWrongGraphOptionsAndCorruption) {
   auto g = graph::gen::delaunay(900, 5).graph;
   core::ScalaPartOptions opt;

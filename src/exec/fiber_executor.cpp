@@ -117,10 +117,16 @@ class FiberExecutor final : public Executor {
         // it a stall.
         if (idle_ && idle_()) continue;
         // Stalled. The handler returns the error to surface, or nullptr
-        // when per-rank exceptions already explain it — then just abandon
-        // the parked fibers (their stacks are reused next run) and let
-        // the engine re-raise what it recorded.
+        // when per-rank exceptions already explain it (the engine
+        // re-raises what it recorded). Either way every parked fiber is
+        // resumed once to unwind with RunAborted, as the threads backend
+        // does, so what its frames hold is released.
         std::exception_ptr err = stall_ ? stall_() : nullptr;
+        aborting_ = true;
+        for (std::uint32_t r : order) {
+          if (!finished_[r]) resume_(r);
+        }
+        aborting_ = false;
         if (err) std::rethrow_exception(err);
         return;
       }
@@ -130,10 +136,14 @@ class FiberExecutor final : public Executor {
   void block_until(std::uint32_t rank, const ReadyFn& ready) override {
     SP_ASSERT(rank == current_rank_);
     if (ready()) return;
-    parked_[rank] = &ready;
-    switch_to_scheduler_(rank);
-    // The scheduler only resumes a parked rank once its predicate holds.
-    parked_[rank] = nullptr;
+    if (!aborting_) {
+      parked_[rank] = &ready;
+      switch_to_scheduler_(rank);
+      parked_[rank] = nullptr;
+    }
+    // The scheduler resumes a parked rank once its predicate holds, or
+    // once to unwind it when the run aborts.
+    if (aborting_) throw RunAborted{};
   }
 
   void notify() override {}  // the sweep re-evaluates predicates itself
@@ -141,7 +151,6 @@ class FiberExecutor final : public Executor {
   void lock() override {}
   void unlock() override {}
 
-  Backend backend() const override { return Backend::kFiber; }
   std::uint32_t concurrency() const override { return 1; }
 
   void set_stall_handler(StallHandler handler) override {
@@ -240,6 +249,7 @@ class FiberExecutor final : public Executor {
 
   std::vector<bool> finished_;
   std::vector<const ReadyFn*> parked_;
+  bool aborting_ = false;  // set while a stalled run unwinds its fibers
   StallHandler stall_;
   IdleHandler idle_;
 };

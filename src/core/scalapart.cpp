@@ -153,6 +153,7 @@ ScalaPartResult scalapart_run(const CsrGraph& g, const ScalaPartOptions& opt,
   std::size_t strip_size = 0;
   std::vector<geom::Vec2> coords;
   bool completed = false;
+  bool exhausted = false;  // the recovery budget ran out
 
   // Fault-tolerance shared state. Checkpointing is only worth paying for
   // when something can actually kill a rank (planned crash or an enabled
@@ -240,34 +241,28 @@ ScalaPartResult scalapart_run(const CsrGraph& g, const ScalaPartOptions& opt,
     // — world_rank and the clock source never change.
     obs::Span pipeline_span(world, "scalapart", "pipeline");
     bool need_recover = false;
-    // Rank-local recovery count: a shared counter would race under the
-    // threads backend (the budget check runs before the shrink that
-    // would synchronize it). Every survivor participates in every
+    // Rank-local recovery count. Every survivor participates in every
     // recovery round, so the local counts agree.
     std::uint32_t my_recoveries = 0;
-    // Engine-wide failure list as of the last observed RankFailedError
-    // (order of death); carried into RecoveryExhaustedError so callers
-    // see who died even when the budget check aborts before the shrink.
-    std::vector<std::uint32_t> my_failed;
     for (;;) {
       try {
         if (need_recover) {
-          ++my_recoveries;
-          if (opt.max_recoveries != 0 &&
-              my_recoveries > opt.max_recoveries) {
-            RecoveryStats rs;
-            rs.failed_ranks = my_failed;
-            rs.recoveries = my_recoveries - 1;
-            throw RecoveryExhaustedError(
-                "recovery budget (" + std::to_string(opt.max_recoveries) +
-                    ") exceeded",
-                rs);
-          }
           // ---- Shrink-and-recover (traced under stage "recover"). ----
           world.set_stage(obs::stages::kRecover);
           obs::Span recover_span(world, obs::stages::kRecover, "stage");
           obs::mark(world, "shrink-and-recover", "fault");
           world = world.shrink();
+          if (opt.max_recoveries != 0 &&
+              ++my_recoveries > opt.max_recoveries) {
+            // Out of budget: every survivor stops here, and the host
+            // raises RecoveryExhaustedError after the run (a rank's own
+            // exception would not cross the process backend's wire as
+            // that type).
+            if (world.rank() == 0) {
+              analysis::shared_store(world, exhausted, true, "core/exhausted");
+            }
+            return;
+          }
           // lattice_embed needs a power-of-two rank count: the largest
           // power-of-two prefix of the survivors keeps computing; the
           // remainder retire as spares.
@@ -393,26 +388,32 @@ ScalaPartResult scalapart_run(const CsrGraph& g, const ScalaPartOptions& opt,
           world.barrier();
         }
         return;
-      } catch (const comm::RankFailedError& e) {
+      } catch (const comm::RankFailedError&) {
         if (!opt.recover_on_failure) throw;
-        my_failed = e.failed_ranks();
         need_recover = true;
       }
     }
   };
 
+  // Structured exhaustion, from the accounting the run's shared slots kept.
+  auto exhausted_error = [&](const std::string& what,
+                             std::vector<std::uint32_t> failed_ranks,
+                             std::uint32_t active,
+                             const comm::DetectorStats& detector) {
+    RecoveryStats rs;
+    rs.failed_ranks = std::move(failed_ranks);
+    rs.recoveries = recoveries;
+    rs.final_active_ranks = active;
+    rs.detector = detector;
+    rs.checkpoints_persisted = persisted;
+    rs.resumed_from_disk = preloaded != nullptr;
+    flight_dump("RecoveryExhaustedError: " + what);
+    return RecoveryExhaustedError(what, std::move(rs));
+  };
+
   comm::RunStats stats;
   try {
     stats = engine.run(program);
-  } catch (RecoveryExhaustedError& e) {
-    // Budget exceeded inside a rank body: fill in what the shared slots
-    // know (the thrower could only see its own counters) and re-raise.
-    e.stats.recoveries = std::max(e.stats.recoveries, recoveries);
-    e.stats.final_active_ranks = final_active;
-    e.stats.checkpoints_persisted = persisted;
-    e.stats.resumed_from_disk = preloaded != nullptr;
-    flight_dump("RecoveryExhaustedError: " + std::string(e.what()));
-    throw;
   } catch (const comm::RankFailedError& e) {
     if (!opt.recover_on_failure) {
       flight_dump("RankFailedError: " + std::string(e.what()));
@@ -420,14 +421,7 @@ ScalaPartResult scalapart_run(const CsrGraph& g, const ScalaPartOptions& opt,
     }
     // Recovery was on but the engine still surfaced a failure: every
     // rank died. Structured error, not an unhandled unwind.
-    RecoveryStats rs;
-    rs.failed_ranks = e.failed_ranks();
-    rs.recoveries = recoveries;
-    rs.final_active_ranks = 0;
-    rs.checkpoints_persisted = persisted;
-    rs.resumed_from_disk = preloaded != nullptr;
-    flight_dump("RecoveryExhaustedError: all ranks failed");
-    throw RecoveryExhaustedError("all ranks failed", rs);
+    throw exhausted_error("all ranks failed", e.failed_ranks(), 0, {});
   } catch (const std::exception& e) {
     // Deadlock diagnostics, SPMD divergence, assertion unwinds — every
     // abnormal exit leaves a black box behind.
@@ -438,6 +432,12 @@ ScalaPartResult scalapart_run(const CsrGraph& g, const ScalaPartOptions& opt,
     throw;
   }
 
+  if (exhausted) {
+    throw exhausted_error("recovery budget (" +
+                              std::to_string(opt.max_recoveries) +
+                              ") exceeded",
+                          stats.failed_ranks, final_active, stats.detector);
+  }
   if (!completed) {
     // Every rank that could have finished the pipeline was killed (the
     // actives all died while retired spares let the run end cleanly).
@@ -445,16 +445,8 @@ ScalaPartResult scalapart_run(const CsrGraph& g, const ScalaPartOptions& opt,
       flight_dump("RankFailedError: no active rank completed the pipeline");
       throw comm::RankFailedError(stats.failed_ranks);
     }
-    RecoveryStats rs;
-    rs.failed_ranks = stats.failed_ranks;
-    rs.recoveries = recoveries;
-    rs.final_active_ranks = 0;
-    rs.detector = stats.detector;
-    rs.checkpoints_persisted = persisted;
-    rs.resumed_from_disk = preloaded != nullptr;
-    flight_dump("RecoveryExhaustedError: no active rank completed the pipeline");
-    throw RecoveryExhaustedError("no active rank completed the pipeline",
-                                 rs);
+    throw exhausted_error("no active rank completed the pipeline",
+                          stats.failed_ranks, 0, stats.detector);
   }
 
   for (VertexId v = 0; v < n; ++v) result.part[v] = side[v];

@@ -55,7 +55,7 @@ core::ScalaPartOptions chaos_base(exec::Backend backend) {
 
 class ChaosSweep : public ::testing::TestWithParam<ChaosParam> {};
 
-// Four shards x two backends: 8 x 70 = 560 seeded plans per full run.
+// Four shards x three backends: 12 x 70 = 840 seeded plans per full run.
 TEST_P(ChaosSweep, CompleteOrStructuredError) {
   const ChaosParam p = GetParam();
   const auto g = graph::gen::delaunay(900, 42).graph;
@@ -83,7 +83,11 @@ INSTANTIATE_TEST_SUITE_P(
                       chaos_shard(exec::Backend::kThreads, 0),
                       chaos_shard(exec::Backend::kThreads, 70),
                       chaos_shard(exec::Backend::kThreads, 140),
-                      chaos_shard(exec::Backend::kThreads, 210)),
+                      chaos_shard(exec::Backend::kThreads, 210),
+                      chaos_shard(exec::Backend::kProcess, 0),
+                      chaos_shard(exec::Backend::kProcess, 70),
+                      chaos_shard(exec::Backend::kProcess, 140),
+                      chaos_shard(exec::Backend::kProcess, 210)),
     chaos_param_name);
 
 // A failing seed must replay bit-for-bit: same partition fingerprint,

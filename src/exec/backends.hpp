@@ -9,6 +9,5 @@ namespace sp::exec::detail {
 
 std::unique_ptr<Executor> make_fiber_executor(const ExecOptions& options);
 std::unique_ptr<Executor> make_thread_executor(const ExecOptions& options);
-std::unique_ptr<Executor> make_process_executor(const ExecOptions& options);
 
 }  // namespace sp::exec::detail

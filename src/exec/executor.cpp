@@ -31,11 +31,10 @@ Backend parse_backend(std::string_view name) {
 std::unique_ptr<Executor> Executor::make(const ExecOptions& options) {
   switch (options.backend) {
     case Backend::kFiber:
+    case Backend::kProcess:
       return detail::make_fiber_executor(options);
     case Backend::kThreads:
       return detail::make_thread_executor(options);
-    case Backend::kProcess:
-      return detail::make_process_executor(options);
   }
   throw std::invalid_argument("unknown execution backend");
 }

@@ -35,9 +35,8 @@
 //             over Unix-domain socket pairs (DESIGN.md §11); the engine
 //             runs parent-side proxy fibers that replay each child's
 //             comm operations, so rendezvous state stays parent-local.
-//             Structurally this is the fiber executor plus an idle
-//             handler that pumps the sockets, which is exactly how it is
-//             implemented (a thin wrapper over the fiber scheduler).
+//             The executor is the fiber one: the engine adds an idle
+//             handler that pumps the sockets.
 #pragma once
 
 #include <cstdint>
@@ -118,7 +117,6 @@ class Executor {
   virtual void lock() = 0;
   virtual void unlock() = 0;
 
-  virtual Backend backend() const = 0;
   /// Ranks that can execute simultaneously (1 for kFiber).
   virtual std::uint32_t concurrency() const = 0;
 
@@ -144,7 +142,7 @@ class Executor {
   using IdleHandler = std::function<bool()>;
   virtual void set_idle_handler(IdleHandler handler) { (void)handler; }
 
-  /// Builds the configured backend.
+  /// Builds the configured backend (kProcess runs on the fiber executor).
   static std::unique_ptr<Executor> make(const ExecOptions& options);
 };
 

@@ -108,7 +108,6 @@ class ThreadExecutor final : public Executor {
   void lock() override { mu_.lock(); }
   void unlock() override { mu_.unlock(); }
 
-  Backend backend() const override { return Backend::kThreads; }
   std::uint32_t concurrency() const override { return slots_; }
 
   double parked_wall_seconds(std::uint32_t rank) const override {

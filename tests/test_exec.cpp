@@ -47,7 +47,6 @@ TEST(ExecBackend, FiberBackendAlwaysAvailable) {
   exec::ExecOptions eo;
   auto ex = exec::Executor::make(eo);
   ASSERT_NE(ex, nullptr);
-  EXPECT_EQ(ex->backend(), exec::Backend::kFiber);
   EXPECT_EQ(ex->concurrency(), 1u);
 }
 

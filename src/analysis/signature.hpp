@@ -21,8 +21,9 @@
 
 namespace sp::analysis {
 
-/// Operation kinds as seen by the matcher. Extends the engine's collective
-/// kinds with the two non-collective rendezvous flavours, so an exchange
+/// The op of a rendezvous: the engine's only name for it. The five
+/// collectives come first (the process backend's wire carries them as
+/// these values), then the two non-collective rendezvous, so an exchange
 /// meeting a barrier is a kind mismatch, not a payload puzzle.
 enum class CollOp : std::uint8_t {
   kBarrier,

@@ -309,8 +309,7 @@ TEST(RecoveryBudget, SecondRecoveryExceedsBudgetOfOne) {
   } catch (const RecoveryExhaustedError& e) {
     EXPECT_NE(std::string(e.what()).find("budget"), std::string::npos);
     EXPECT_EQ(e.stats.recoveries, 1u);
-    // The error carries who died even though the budget check aborts
-    // before the shrink: both crashed ranks, in order of death.
+    // The error carries who died: both crashed ranks, in order of death.
     EXPECT_EQ(e.stats.failed_ranks, (std::vector<std::uint32_t>{1, 2}));
   }
 }

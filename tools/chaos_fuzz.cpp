@@ -9,7 +9,7 @@
 //
 // Usage:
 //   chaos_fuzz [--seeds=N] [--seed0=S] [--n=V] [--p=P]
-//              [--backend=fiber|threads] [--threads=T]
+//              [--backend=fiber|threads|process] [--threads=T]
 //              [--replay=SEED] [--verbose] [--flight-dir=DIR]
 //              [--kill-rank=R --kill-stage=STAGE]
 //

@@ -208,7 +208,7 @@ class RankFailedError : public std::runtime_error {
  private:
   static std::string format_(const std::vector<std::uint32_t>& failed) {
     std::string msg = "rank(s) failed:";
-    for (std::uint32_t r : failed) msg += " " + std::to_string(r);
+    for (std::uint32_t r : failed) msg.append(" ").append(std::to_string(r));
     return msg;
   }
   std::vector<std::uint32_t> failed_;
